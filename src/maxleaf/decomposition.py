@@ -11,22 +11,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from .branching import (
-    Classification,
-    OutBranching,
-    classify,
-    leaf_count,
-)
+from .branching import OutBranching, classify, leaf_count
 from .digraph import (
     Digraph,
     Graph,
     has_out_branching,
     in_class_L,
+    is_acyclic,
     is_strongly_connected,
-    strong_components,
     underlying_graph,
 )
 from .local_search import bfs_branching, improve_to_1ae
@@ -61,26 +58,45 @@ class PathDecomposition:
         return PathDecomposition(tuple(bags))
 
 
+def _spans(bags: Sequence[frozenset[int]]) -> tuple[dict[int, int], dict[int, int]]:
+    """First and last bag index of every bag vertex; the keys of the
+    second map are in order of first occurrence."""
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for i, b in enumerate(bags):
+        last.update(dict.fromkeys(b, i))
+    for i in range(len(bags) - 1, -1, -1):
+        first.update(dict.fromkeys(bags[i], i))
+    return first, last
+
+
 def validate_pd(G: Graph, P: PathDecomposition) -> str | None:
     """None when P satisfies the three path-decomposition axioms for G,
-    else a message naming the first violated axiom and a witness."""
-    covered: set[int] = set()
-    for b in P.bags:
-        for v in b:
-            if not (0 <= v < G.n):
-                return f"bag vertex {v} outside host graph"
-        covered |= b
-    missing = set(range(G.n)) - covered
-    if missing:
-        return f"axiom 1: vertex {min(missing)} in no bag"
+    else a message naming the first violated axiom and a witness.
+
+    A vertex is contiguous exactly when its number of bags spans its
+    range from first to last bag, and an edge of two contiguous vertices
+    is covered exactly when their ranges meet."""
+    n = G.n
+    first, last = _spans(P.bags)
+    for v in last:
+        if not (0 <= v < n):
+            return f"bag vertex {v} outside host graph"
+    if len(last) < n:
+        return f"axiom 1: vertex {min(set(range(n)) - last.keys())} in no bag"
+    count = Counter(chain.from_iterable(P.bags))
+    split = {v for v, c in count.items() if c != last[v] - first[v] + 1}
     for e in G.edges:
         u, v = sorted(e)
-        if not any(u in b and v in b for b in P.bags):
+        if u in split or v in split:
+            covered = any(u in b and v in b for b in P.bags)
+        else:
+            covered = first[u] <= last[v] and first[v] <= last[u]
+        if not covered:
             return f"axiom 2: edge {{{u},{v}}} in no bag"
-    for v in range(G.n):
-        idx = [i for i, b in enumerate(P.bags) if v in b]
-        if idx and idx != list(range(idx[0], idx[-1] + 1)):
-            return f"axiom 3: vertex {v} occurs non-contiguously"
+    if split:
+        v = min(v for v in range(n) if v in split)
+        return f"axiom 3: vertex {v} occurs non-contiguously"
     return None
 
 
@@ -96,18 +112,57 @@ def ordering_to_decomposition(G: Graph, sigma: VertexOrdering) -> PathDecomposit
 
 def _ordering_to_pd(order: Sequence[int],
                     neighbors: Callable[[int], set[int]]) -> PathDecomposition:
+    # v_j sits in bags j..last_j, last_j being the position of its last
+    # neighbour (at least j); a sweep drops it again before bag last_j + 1
     pos = {v: i for i, v in enumerate(order)}
+    leaving: list[list[int]] = [[] for _ in range(len(order) + 1)]
+    active: set[int] = set()
     bags = []
     for j, vj in enumerate(order):
-        bag = {vj}
-        for i in range(j):
-            vi = order[i]
-            if any(pos[w] >= j for w in neighbors(vi) if w in pos):
-                bag.add(vi)
-        bags.append(frozenset(bag))
-    if not bags:
-        bags = []
+        active.difference_update(leaving[j])
+        active.add(vj)
+        bags.append(frozenset(active))
+        last = max((pos[w] for w in neighbors(vj) if w in pos), default=j)
+        leaving[max(last, j) + 1].append(vj)
     return PathDecomposition(tuple(bags))
+
+
+def _anchor_edges(G: Graph, first: dict[int, int], last: dict[int, int],
+                  nbags: int
+                  ) -> tuple[dict[tuple[int, int], int], list[int], list[int]]:
+    """The bag tighten anchors each edge {u,v} (u < v) at, and the
+    interval [lo, hi] of anchors of every vertex (-1, nbags if none).
+
+    The shared bags of an edge are [L, R] = [max first, min last].  Edges
+    are anchored in order of (R-L+1, u, v), each at the lowest bag of
+    [L, R] that minimises the distance from the bag to the endpoints'
+    current anchor intervals.  That sum is convex and piecewise linear in
+    the bag, and its unconstrained minimisers are the interval between
+    the second and third smallest endpoint of the two anchor intervals,
+    so the lowest minimiser on [L, R] is the second smallest endpoint
+    clamped to [L, R].  An unanchored vertex has the interval
+    [-1, nbags], which covers every bag at no cost."""
+    edges = []
+    for e in G.edges:
+        u, v = sorted(e)
+        L = max(first[u], first[v])
+        R = min(last[u], last[v])
+        edges.append((R - L + 1, u, v, L, R))
+    edges.sort()
+    lo = [-1] * G.n
+    hi = [nbags] * G.n
+    anchors: dict[tuple[int, int], int] = {}
+    for _, u, v, L, R in edges:
+        j = min(max(min(max(lo[u], lo[v]), hi[u], hi[v]), L), R)
+        anchors[u, v] = j
+        for x in (u, v):
+            if lo[x] < 0:
+                lo[x] = hi[x] = j
+            elif j < lo[x]:
+                lo[x] = j
+            elif j > hi[x]:
+                hi[x] = j
+    return anchors, lo, hi
 
 
 def tighten(G: Graph, P: PathDecomposition) -> PathDecomposition:
@@ -116,40 +171,28 @@ def tighten(G: Graph, P: PathDecomposition) -> PathDecomposition:
     edges.  Each edge is anchored at one bag containing both endpoints;
     edges with few shared bags are anchored first, later edges pick the
     shared bag that extends the endpoint intervals least.  Width never
-    increases."""
+    increases.  Runs in O(m log m) plus the size of P."""
     assert validate_pd(G, P) is None, "tighten requires a valid decomposition"
-    occ: dict[int, list[int]] = {}
-    for i, b in enumerate(P.bags):
-        for v in b:
-            occ.setdefault(v, []).append(i)
-    lo: dict[int, int] = {}
-    hi: dict[int, int] = {}
-
-    def cost(v: int, j: int) -> int:
-        if v not in lo:
-            return 0
-        return max(0, lo[v] - j) + max(0, j - hi[v])
-
-    def commit(v: int, j: int) -> None:
-        lo[v] = min(lo.get(v, j), j)
-        hi[v] = max(hi.get(v, j), j)
-
-    edges = []
-    for e in G.edges:
-        u, v = sorted(e)
-        common = [i for i in occ[u] if i in set(occ[v])]
-        edges.append((len(common), u, v, common))
-    for _, u, v, common in sorted(edges):
-        j = min(common, key=lambda i: (cost(u, i) + cost(v, i), i))
-        commit(u, j)
-        commit(v, j)
-    for v in occ:
-        if v not in lo:
-            commit(v, occ[v][0])
-    bags = tuple(frozenset(v for v in b if lo[v] <= i <= hi[v])
-                 for i, b in enumerate(P.bags))
-    bags = tuple(b for b in bags if b) or (frozenset(),)
-    out = PathDecomposition(bags)
+    nbags = len(P.bags)
+    first, last = _spans(P.bags)
+    _, lo, hi = _anchor_edges(G, first, last, nbags)
+    # v keeps bags lo[v]..hi[v], its first bag alone when it has no edge;
+    # that range lies inside its original one, so a sweep rebuilds the bags
+    enter: list[list[int]] = [[] for _ in range(nbags + 1)]
+    leave: list[list[int]] = [[] for _ in range(nbags + 1)]
+    for v in range(G.n):
+        if lo[v] < 0:
+            lo[v] = hi[v] = first[v]
+        enter[lo[v]].append(v)
+        leave[hi[v] + 1].append(v)
+    active: set[int] = set()
+    bags = []
+    for i in range(nbags):
+        active.difference_update(leave[i])
+        active.update(enter[i])
+        if active:
+            bags.append(frozenset(active))
+    out = PathDecomposition(tuple(bags) or (frozenset(),))
     assert validate_pd(G, out) is None
     return out
 
@@ -168,10 +211,6 @@ class DecomposeOutcome:
         return "witness" if self.witness is not None else "decomposition"
 
 
-def _is_acyclic(D: Digraph) -> bool:
-    return len(set(strong_components(D).component_id)) == D.n
-
-
 def decompose_acyclic(D: Digraph, k: int) -> DecomposeOutcome:
     """Witness a branching with >= k leaves or decompose UN(D).
 
@@ -181,7 +220,7 @@ def decompose_acyclic(D: Digraph, k: int) -> DecomposeOutcome:
     of the remaining link paths; width is at most 4k-6 when the local
     optimum has fewer than k leaves.
     """
-    if not _is_acyclic(D):
+    if not is_acyclic(D):
         raise ValueError("digraph is not acyclic")
     sources = [v for v in range(D.n) if D.in_degree(v) == 0]
     if len(sources) != 1:
@@ -325,31 +364,42 @@ def _components_after_removal(T: _Tree, v: int) -> list[_Tree]:
 def _pick_centroid(T: _Tree) -> tuple[int, list[_Tree]]:
     """Separator vertex whose removal leaves components of original leaf
     weight at most half the total; among qualifying vertices the one with
-    the most balanced split (then lowest id) is taken."""
+    the most balanced split (then lowest id) is taken.
+
+    Subtree sizes and leaf counts from one post-order pass give every
+    candidate's components: one per child, plus the rest of the tree
+    above it, where p(u) becomes a leaf when u is its only child."""
     ch = T.children()
-    orig_leaves = {u for u in ch if not ch[u]}
-    total = len(orig_leaves)
-    verts = T.vertices()
+    order = [T.root]
+    for u in order:
+        order.extend(ch[u])
+    size: dict[int, int] = {}
+    leaves: dict[int, int] = {}
+    for u in reversed(order):
+        size[u] = 1 + sum(size[c] for c in ch[u])
+        leaves[u] = sum(leaves[c] for c in ch[u]) if ch[u] else 1
+    total = leaves[T.root]
+    n = len(order)
     # undirected degree >= 2 avoids pendant separators (always possible
     # for trees with >= 2 leaves)
-    deg = {u: len(ch[u]) + (0 if u == T.root else 1) for u in verts}
-    candidates = [u for u in verts if deg[u] >= 2] or sorted(verts)
+    candidates = [u for u in order if len(ch[u]) + (u != T.root) >= 2] or order
 
     best_key = None
-    best: tuple[int, list[_Tree]] | None = None
-    for u in sorted(candidates):
-        comps = _components_after_removal(T, u)
-        weights = [sum(1 for x in c.vertices() if x in orig_leaves) for c in comps]
-        if any(2 * w > total for w in weights):
+    for u in candidates:
+        # (original leaf weight, leaf count, size) of each component
+        comps = [(leaves[c], leaves[c], size[c]) for c in ch[u]]
+        if u != T.root:
+            rest = total - leaves[u]
+            comps.append((rest, rest + (len(ch[T.parent[u]]) == 1), n - size[u]))
+        if any(2 * w > total for w, _, _ in comps):
             continue
-        max_l = max((c.leaf_weight() for c in comps), default=0)
-        max_sz = max((len(c.vertices()) for c in comps), default=0)
-        key = (max_l, max_sz, u)
+        key = (max((l for _, l, _ in comps), default=0),
+               max((sz for _, _, sz in comps), default=0), u)
         if best_key is None or key < best_key:
             best_key = key
-            best = (u, comps)
-    assert best is not None, "no qualifying separator vertex"
-    return best
+    assert best_key is not None, "no qualifying separator vertex"
+    u = best_key[2]
+    return u, _components_after_removal(T, u)
 
 
 def beta_split(T: _Tree, next_clone_id: int,
@@ -515,32 +565,34 @@ def decompose_strong(D: Digraph, k: int, seed: int = 0,
     if t > layer_bound(k):
         diags.append(f"layer count {t} exceeds {layer_bound(k)}")
 
-    def base_arcs(a: int, b: int) -> bool:
-        return (bt.orig(a), bt.orig(b)) in D.arcs
+    def by_orig(ids) -> dict[int, list[int]]:
+        out: dict[int, list[int]] = {}
+        for x in ids:
+            out.setdefault(bt.orig(x), []).append(x)
+        return out
 
     def pd_for_leaf(node: BetaNode) -> PathDecomposition:
         order = _path_order(node.tree)
-        idx = {u: i for i, u in enumerate(order)}
         W_local = {u for u in order if bt.orig(u) in W_full}
         path_arcs = set(zip(order, order[1:]))
+        ids = by_orig(order)
         # adjacency of the stripped digraph R
         adj: dict[int, set[int]] = {u: set() for u in order}
         for a in order:
-            for b in order:
-                if a == b or not base_arcs(a, b):
-                    continue
-                touches_w = a in W_local or b in W_local
-                if touches_w and (a, b) not in path_arcs:
-                    continue
-                adj[a].add(b)
-                adj[b].add(a)
-        boundary = max(
-            (sum(1 for u in order[:i + 1] if any(idx[w] > i for w in adj[u]))
-             for i in range(len(order))), default=0)
+            for w in D.out_adj[bt.orig(a)]:
+                for b in ids.get(w, ()):
+                    touches_w = a in W_local or b in W_local
+                    if touches_w and (a, b) not in path_arcs:
+                        continue
+                    adj[a].add(b)
+                    adj[b].add(a)
+        pd = _ordering_to_pd(order, lambda u: adj[u])
+        # the ordering's boundary (the most vertices up to a position with
+        # a neighbour past it) is the width of the decomposition it induces
+        boundary = pd.width
         if boundary > k:
             diags.append(
                 f"stripped path ordering boundary {boundary} exceeds k={k}")
-        pd = _ordering_to_pd(order, lambda u: adj[u])
         bags = tuple(b | frozenset(W_local) for b in pd.bags)
         out = PathDecomposition(bags)
         if out.width >= 5 * k:
@@ -554,17 +606,19 @@ def decompose_strong(D: Digraph, k: int, seed: int = 0,
         right = combine(node.children[1])
         v, clone = node.separator
         # rename the clone back to v throughout the second half
-        right_bags = [frozenset(v if x == clone else x for x in b)
+        right_bags = [b - {clone} | {v} if clone in b else b
                       for b in right.bags]
-        lverts = set().union(*left.bags) if left.bags else set()
-        rverts = set().union(*right_bags) if right_bags else set()
+        lverts = by_orig(set().union(*left.bags))
+        rverts = by_orig(set().union(*right_bags))
+        # Y: every id on one side whose original vertex has an in-neighbour
+        # among the other side's; walk the arcs of the smaller side
+        small, large = sorted((lverts, rverts), key=len)
         Y: set[int] = set()
-        for a in lverts:
-            for b in rverts:
-                if base_arcs(a, b):
-                    Y.add(b)
-                if base_arcs(b, a):
-                    Y.add(a)
+        for o, here in small.items():
+            for w in D.out_adj[o]:
+                Y.update(large.get(w, ()))
+            if any(w in large for w in D.in_adj[o]):
+                Y.update(here)
         if len(Y - {v}) > 2 * k:
             diags.append(
                 f"cross-neighbor set size {len(Y)} exceeds 2k = {2 * k}")
@@ -577,38 +631,3 @@ def decompose_strong(D: Digraph, k: int, seed: int = 0,
         diags.append(
             f"final width {pd.width} exceeds 2(t+1.5)k = {2 * (t + 1.5) * k}")
     return DecomposeOutcome(decomposition=pd, layers=t, diagnostics=tuple(diags))
-
-
-def centroid(n: int, edges: set[frozenset[int]], weight: dict[int, float]) -> int:
-    """Vertex of an undirected tree whose removal leaves components each of
-    weight at most half the total.  Ties broken to the lowest id."""
-    total = sum(weight.get(v, 0.0) for v in range(n))
-    if total <= 0:
-        raise ValueError("total weight must be positive")
-    adj: dict[int, set[int]] = {v: set() for v in range(n)}
-    for e in edges:
-        a, b = sorted(e)
-        adj[a].add(b)
-        adj[b].add(a)
-    for v in range(n):
-        ok = True
-        seen = {v}
-        for start in adj[v]:
-            if start in seen:
-                continue
-            comp_w = 0.0
-            stack = [start]
-            seen.add(start)
-            while stack:
-                u = stack.pop()
-                comp_w += weight.get(u, 0.0)
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if comp_w > total / 2:
-                ok = False
-                break
-        if ok:
-            return v
-    raise AssertionError("weighted tree has no qualifying separator")

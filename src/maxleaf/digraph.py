@@ -275,6 +275,22 @@ def is_strongly_connected(D: Digraph) -> bool:
     return len(set(strong_components(D).component_id)) == 1
 
 
+def is_acyclic(D: Digraph) -> bool:
+    """True iff D has no directed cycle (Kahn: repeatedly remove a vertex
+    of in-degree zero; a cycle leaves vertices behind)."""
+    indeg = [len(a) for a in D.in_adj]
+    todo = [v for v in range(D.n) if not indeg[v]]
+    removed = 0
+    while todo:
+        u = todo.pop()
+        removed += 1
+        for w in D.out_adj[u]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                todo.append(w)
+    return removed == D.n
+
+
 def has_out_branching(D: Digraph) -> tuple[bool, frozenset[int]]:
     """Whether D has an out-branching; if so, the set of feasible roots.
 

@@ -9,13 +9,11 @@ is considered exactly once.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .branching import OutBranching, OutTree, leaf_count, validate
 from .decomposition import (
-    DecomposeOutcome,
     PathDecomposition,
     decompose_acyclic,
     decompose_strong,
@@ -25,9 +23,9 @@ from .digraph import (
     Digraph,
     has_out_branching,
     in_class_L,
+    is_acyclic,
     is_strongly_connected,
     reachable_subdigraph,
-    strong_components,
     underlying_graph,
 )
 from .local_search import bfs_branching, improve_to_1ae
@@ -262,8 +260,7 @@ class Decision:
 
 
 def _is_acyclic_single_source(D: Digraph) -> bool:
-    acyclic = len(set(strong_components(D).component_id)) == D.n
-    return acyclic and sum(1 for v in range(D.n) if D.in_degree(v) == 0) == 1
+    return is_acyclic(D) and sum(1 for v in range(D.n) if D.in_degree(v) == 0) == 1
 
 
 def decide_k_dmlob(D: Digraph, k: int, seed: int = 0,
@@ -327,7 +324,7 @@ def decide_k_dmlot(D: Digraph, k: int, seed: int = 0) -> Decision:
     """
     if k <= 0:
         return Decision("yes", k, leaves=0, method="structure")
-    best_no: Optional[Decision] = None
+    best_leaves = 0
     for v in range(D.n):
         sub, relabel = reachable_subdigraph(D, v)
         dec = decide_k_dmlob(sub, k, seed=seed, assume_supported=True)
@@ -340,6 +337,6 @@ def decide_k_dmlot(D: Digraph, k: int, seed: int = 0) -> Decision:
             tree = OutTree(frozenset(inv.values()), inv[W.root], parent)
             return Decision("yes", k, leaves=dec.leaves, witness=tree,
                             method=dec.method)
-        best_no = dec
-    return Decision("no", k, leaves=best_no.leaves if best_no else 0,
-                    method="dp" if best_no else "structure")
+        best_leaves = max(best_leaves, dec.leaves)
+    return Decision("no", k, leaves=best_leaves,
+                    method="dp" if D.n else "structure")

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .branching import OutBranching, classify, leaf_count, leaf_set, require_valid, validate
+from .branching import OutBranching, leaf_count, leaf_set, require_valid
 from .digraph import Digraph, reachable_set
 
 

@@ -6,7 +6,6 @@ from maxleaf.branching import OutBranching, leaf_count, validate
 from maxleaf.decomposition import (
     PathDecomposition,
     build_beta_tree,
-    centroid,
     decompose_acyclic,
     decompose_strong,
     layer_bound,
@@ -265,23 +264,3 @@ class TestDecomposeStrong:
         with pytest.raises(ValueError):
             decompose_strong(D, 2)
 
-
-class TestCentroid:
-    def test_path_center(self):
-        edges = {frozenset({i, i + 1}) for i in range(4)}
-        w = {v: 1.0 for v in range(5)}
-        assert centroid(5, edges, w) == 2
-
-    def test_star_center(self):
-        edges = {frozenset({0, v}) for v in range(1, 6)}
-        w = {v: 1.0 for v in range(1, 6)}
-        assert centroid(6, edges, w) == 0
-
-    def test_weights_shift_choice(self):
-        edges = {frozenset({i, i + 1}) for i in range(4)}
-        w = {0: 10.0, 1: 0.0, 2: 0.0, 3: 0.0, 4: 1.0}
-        assert centroid(5, edges, w) in (0, 1)
-
-    def test_zero_total_rejected(self):
-        with pytest.raises(ValueError):
-            centroid(2, {frozenset({0, 1})}, {})

@@ -7,6 +7,7 @@ from maxleaf.digraph import (
     FormatError,
     has_out_branching,
     in_class_L,
+    is_acyclic,
     parse,
     reachable_set,
     reachable_subdigraph,
@@ -114,6 +115,22 @@ class TestStrongComponents:
         for a, b in itertools.combinations(comps.values(), 2):
             sub, _ = D.induced(a + b)
             assert len(set(strong_components(sub).component_id)) > 1
+
+
+class TestIsAcyclic:
+    def test_small_cases(self):
+        assert is_acyclic(build(0, []))
+        assert is_acyclic(build(3, [(0, 1), (1, 2), (0, 2)]))
+        assert not is_acyclic(build(3, [(0, 1), (1, 2), (2, 0)]))
+        assert not is_acyclic(build(3, [(0, 1), (1, 0), (1, 2)]))
+
+    def test_matches_strong_components(self):
+        for n in range(1, 5):
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for mask in range(1 << len(pairs)):
+                D = build(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+                singletons = len(set(strong_components(D).component_id)) == n
+                assert is_acyclic(D) == singletons
 
 
 class TestOutBranchingExistence:

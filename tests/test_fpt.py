@@ -244,6 +244,14 @@ class TestDecideDmlot:
                 want = "yes" if ell >= k else "no"
                 assert decide_k_dmlot(D, k).answer == want
 
+    def test_no_reports_best_leaves_over_all_vertices(self):
+        # vertex 0 reaches an out-star with 3 leaves; the last vertex
+        # tried (3) reaches only itself, with 0 leaves
+        D = Digraph.build(4, [(0, 1), (0, 2), (0, 3)])
+        dec = decide_k_dmlot(D, 4)
+        assert dec.answer == "no"
+        assert dec.leaves == 3
+
     def test_witness_arcs_exist_in_host(self):
         D = random_digraph(6, 77, p=0.4)
         ell = exact_max_leaf_tree(D, 10_000)
