@@ -38,7 +38,6 @@ from .oracles import (
     VertexOrdering,
     exact_max_leaf_branching,
     exact_max_leaf_tree,
-    exact_pathwidth,
     exact_vertex_separation,
 )
 

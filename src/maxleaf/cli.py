@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import branching, digraph
 from .branching import OutBranching, leaf_count
@@ -71,14 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--fpt", action="store_true")
     s.add_argument("--k", type=int, help="target leaves (fpt mode)")
     s.add_argument("--time-budget-ms", type=float, default=None)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=0, help="restart seed (--local)")
     s.add_argument("graph")
 
     d = sub.add_parser("decompose", help="path decomposition construction")
     d.add_argument("--mode", required=True, choices=["acyclic", "strong"])
     d.add_argument("--k", type=int, required=True)
     d.add_argument("--out", help=".pd output file (default stdout)")
-    d.add_argument("--seed", type=int, default=0)
     d.add_argument("graph")
 
     c = sub.add_parser("check", help="validate artifacts")
@@ -99,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--family", default=None)
     v.add_argument("--params", default=None)
-    v.add_argument("--threads", type=int, default=1)
     v.add_argument("--time-budget-ms", type=float, default=None)
     v.add_argument("--out", help="prefix for CSV/JSON report files")
 
@@ -159,7 +156,7 @@ def _cmd_solve(args) -> int:
     if args.k is None:
         print("solve: --k required with --fpt", file=sys.stderr)
         return EXIT_USAGE
-    dec = decide_k_dmlob(D, args.k, seed=args.seed)
+    dec = decide_k_dmlob(D, args.k)
     print(json.dumps(dec.to_dict()))
     if dec.answer == "yes":
         return EXIT_OK
@@ -173,7 +170,7 @@ def _cmd_decompose(args) -> int:
     if args.mode == "acyclic":
         out = decompose_acyclic(D, args.k)
     else:
-        out = decompose_strong(D, args.k, seed=args.seed)
+        out = decompose_strong(D, args.k)
     for diag in out.diagnostics:
         print(f"diagnostic: {diag}", file=sys.stderr)
     if out.witness is not None:
@@ -244,22 +241,14 @@ def _cmd_verify(args) -> int:
             specs = [InstanceSpec(args.family, params, args.seed)]
         else:
             specs = _theorem2_specs(args)
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                reports = list(pool.map(
-                    lambda s: verify_bound_theorem2([s], budget), specs))
-            report = Report("theorem2")
-            for r in reports:
-                report.records.extend(r.records)
-        else:
-            report = verify_bound_theorem2(specs, budget)
+        report = verify_bound_theorem2(specs, budget)
     elif args.campaign == "widths":
         specs = [InstanceSpec("random_strong",
                               (("n", args.n_min + (args.n_max - args.n_min)
                                 * i // max(args.count - 1, 1)), ("pct", 10)),
                               args.seed + i)
                  for i in range(args.count)]
-        report = verify_widths(specs, [args.k], seed=args.seed)
+        report = verify_widths(specs, [args.k])
     else:  # lemma2
         report = Report("lemma2")
         for i in range(args.count):

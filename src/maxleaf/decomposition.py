@@ -520,7 +520,7 @@ def layer_bound(k: int) -> int:
     return 2 + math.ceil(math.log(max(k, 2)) / math.log(4 / 3))
 
 
-def decompose_strong(D: Digraph, k: int, seed: int = 0,
+def decompose_strong(D: Digraph, k: int,
                      assume_premise: bool = False) -> DecomposeOutcome:
     """Witness a branching with >= k leaves or decompose UN(D).
 

@@ -66,9 +66,6 @@ class Digraph:
     def in_degree(self, v: int) -> int:
         return len(self.in_adj[v])
 
-    def out_degree(self, v: int) -> int:
-        return len(self.out_adj[v])
-
     def min_in_degree(self) -> int:
         return min((len(a) for a in self.in_adj), default=0)
 
@@ -94,9 +91,6 @@ class StrongComponentIndex:
     component_id: tuple[int, ...]
     condensation: Digraph
     source_components: frozenset[int]
-
-    def members(self, label: int) -> list[int]:
-        return [v for v, c in enumerate(self.component_id) if c == label]
 
 
 def parse(text: str) -> Digraph:

@@ -263,7 +263,7 @@ def _is_acyclic_single_source(D: Digraph) -> bool:
     return is_acyclic(D) and sum(1 for v in range(D.n) if D.in_degree(v) == 0) == 1
 
 
-def decide_k_dmlob(D: Digraph, k: int, seed: int = 0,
+def decide_k_dmlob(D: Digraph, k: int,
                    assume_supported: bool = False) -> Decision:
     """Does D have an out-branching with at least k leaves?
 
@@ -291,8 +291,7 @@ def decide_k_dmlob(D: Digraph, k: int, seed: int = 0,
     if _is_acyclic_single_source(D):
         outcome = decompose_acyclic(D, k)
     elif is_strongly_connected(D) or in_class_L(D) or assume_supported:
-        outcome = decompose_strong(D, k, seed=seed,
-                                   assume_premise=assume_supported)
+        outcome = decompose_strong(D, k, assume_premise=assume_supported)
     else:
         return Decision("unsupported", k)
 
@@ -316,7 +315,7 @@ def decide_k_dmlob(D: Digraph, k: int, seed: int = 0,
                     width=pd.width, states_peak=peak)
 
 
-def decide_k_dmlot(D: Digraph, k: int, seed: int = 0) -> Decision:
+def decide_k_dmlot(D: Digraph, k: int) -> Decision:
     """Does D have an out-tree with at least k leaves?
 
     Reduces to the spanning problem on each vertex's reachable
@@ -327,7 +326,7 @@ def decide_k_dmlot(D: Digraph, k: int, seed: int = 0) -> Decision:
     best_leaves = 0
     for v in range(D.n):
         sub, relabel = reachable_subdigraph(D, v)
-        dec = decide_k_dmlob(sub, k, seed=seed, assume_supported=True)
+        dec = decide_k_dmlob(sub, k, assume_supported=True)
         assert dec.answer != "unsupported", "reachable subdigraph not supported"
         if dec.answer == "yes":
             inv = {new: old for old, new in relabel.items()}

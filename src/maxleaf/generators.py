@@ -7,7 +7,7 @@ platform.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .digraph import Digraph, is_strongly_connected
 

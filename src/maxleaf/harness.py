@@ -237,8 +237,7 @@ def _longest_path_length(arcs: list[tuple[int, int]]) -> int:
     return max((depth(u) for u in verts), default=0)
 
 
-def verify_widths(specs: Sequence[InstanceSpec], k_values: Sequence[int],
-                  seed: int = 0) -> Report:
+def verify_widths(specs: Sequence[InstanceSpec], k_values: Sequence[int]) -> Report:
     """Strong-digraph decompositions must validate and respect the
     layer-dependent width bound whenever no witness is produced."""
     report = Report("widths")
@@ -249,7 +248,7 @@ def verify_widths(specs: Sequence[InstanceSpec], k_values: Sequence[int],
             rec = Record(spec.label(), spec.family,
                          ",".join(f"{k_}={v}" for k_, v in spec.params),
                          spec.seed, D.n, D.m, "widths", "SKIP")
-            out = decompose_strong(D, k, seed=seed)
+            out = decompose_strong(D, k)
             if out.witness is not None:
                 rec.status = "PASS"
                 rec.search_leaves = leaf_count(out.witness)

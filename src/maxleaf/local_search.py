@@ -2,9 +2,11 @@
 
 An out-branching is 1-arc-exchange (1-AE) optimal when no swap of one
 tree arc for one non-tree arc yields an out-branching with strictly
-more leaves.  The improvement loop here produces such branchings, and
+more leaves.  ``_first_improving_1ae_move`` finds such a swap from the
+characterization of valid 1-exchanges; ``improve_to_1ae`` applies it
+until none is left and ``is_1ae_optimal`` certifies with it.
 ``check_structural_conditions`` verifies the three necessary structural
-conditions they satisfy.
+conditions that 1-AE optimal branchings satisfy.
 """
 from __future__ import annotations
 
@@ -34,11 +36,11 @@ class ExchangeMove:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Result of the exhaustive 1-move sweep."""
+    """1-AE certificate: "optimal", or "improvable" with the lexicographically
+    smallest improving 1-exchange as `violating_move`."""
 
     status: str  # "optimal" | "improvable"
     violating_move: Optional[ExchangeMove] = None
-    violated_condition: Optional[str] = None  # "a" | "b" | "c" | "generic"
 
 
 @dataclass(frozen=True)
@@ -89,41 +91,6 @@ def apply_move(D: Digraph, T: OutBranching, move: ExchangeMove) -> OutBranching:
     if len(move.removed) != len(move.added):
         raise MoveRejection("removed/added size mismatch")
     return _arc_set_to_branching(D, (tree_arcs - move.removed) | move.added)
-
-
-def _candidate_moves(D: Digraph, T: OutBranching, ell: int) -> Iterable[ExchangeMove]:
-    """All size-ell moves in lexicographic (removed, added) order."""
-    from itertools import combinations
-
-    tree_arcs = sorted(T.arcs())
-    non_tree = sorted(D.arcs - set(tree_arcs))
-    for rem in combinations(tree_arcs, ell):
-        for add in combinations(non_tree, ell):
-            yield ExchangeMove(frozenset(rem), frozenset(add))
-
-
-def is_ae_optimal(D: Digraph, T: OutBranching, ell: int = 1,
-                  max_size: int = 60) -> Certificate:
-    """Exhaustive sweep over all size-ell exchanges.
-
-    Only ell=1 is used by the solver pipeline; ell=2 is exposed for
-    experimentation and guarded by an instance-size limit.
-    """
-    if ell > 1 and D.n > max_size:
-        raise ValueError(f"ell={ell} sweep limited to n <= {max_size}")
-    base = leaf_count(T)
-    for move in _candidate_moves(D, T, ell):
-        try:
-            T2 = apply_move(D, T, move)
-        except MoveRejection:
-            continue
-        if leaf_count(T2) > base:
-            return Certificate("improvable", move, "generic")
-    return Certificate("optimal")
-
-
-def is_1ae_optimal(D: Digraph, T: OutBranching) -> Certificate:
-    return is_ae_optimal(D, T, ell=1)
 
 
 def check_structural_conditions(D: Digraph, T: OutBranching) -> list[Violation]:
@@ -248,6 +215,14 @@ def _first_improving_1ae_move(D: Digraph, T: OutBranching) -> Optional[ExchangeM
     if best is None:
         return None
     return ExchangeMove.single(*best)
+
+
+def is_1ae_optimal(D: Digraph, T: OutBranching) -> Certificate:
+    require_valid(D, T)
+    move = _first_improving_1ae_move(D, T)
+    if move is None:
+        return Certificate("optimal")
+    return Certificate("improvable", move)
 
 
 def improve_to_1ae(D: Digraph, T0: OutBranching) -> OutBranching:

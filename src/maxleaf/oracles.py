@@ -320,9 +320,3 @@ def exact_vertex_separation(G: Graph) -> tuple[int, VertexOrdering]:
         S &= ~(1 << v)
     order.reverse()
     return f[full], VertexOrdering(tuple(order), f[full])
-
-
-def exact_pathwidth(G: Graph) -> int:
-    """Pathwidth equals vertex separation."""
-    value, _ = exact_vertex_separation(G)
-    return value

@@ -129,7 +129,7 @@ def test_criterion_4_strong_width():
         _, roots = has_out_branching(D)
         w0 = leaf_count(improve_to_1ae(D, bfs_branching(D, min(roots))))
         k = w0 + 1  # strictly above the local-search witness
-        out = decompose_strong(D, k, seed=idx)
+        out = decompose_strong(D, k)
         assert out.kind == "decomposition", (idx, D.n, k)
         pd, t = out.decomposition, out.layers
         assert validate_pd(underlying_graph(D), pd) is None, (idx, D.n)

@@ -192,16 +192,6 @@ class TestVerify:
         assert (tmp_path / "rep.csv").exists()
         assert (tmp_path / "rep.json").exists()
 
-    def test_theorem2_threaded_matches_serial(self, capsys):
-        args = ["verify", "--campaign", "theorem2", "--count", "3",
-                "--n-min", "8", "--n-max", "14",
-                "--time-budget-ms", "20000"]
-        _, serial, _ = run(capsys, *args)
-        _, threaded, _ = run(capsys, *args, "--threads", "2")
-        key = lambda doc: sorted(
-            (r["seed"], r["n"], r["status"]) for r in json.loads(doc)["records"])
-        assert key(serial) == key(threaded)
-
     def test_widths_campaign(self, capsys):
         code, out, _ = run(capsys, "verify", "--campaign", "widths",
                            "--count", "2", "--n-min", "8", "--n-max", "12",

@@ -240,7 +240,7 @@ class TestDecomposeStrong:
         for seed in range(12):
             D = random_strong(random.Random(seed).randint(6, 14), seed)
             for k in (3, 5):
-                out = decompose_strong(D, k, seed=seed)
+                out = decompose_strong(D, k)
                 if out.kind == "witness":
                     assert leaf_count(out.witness) >= k
                     assert validate(D, out.witness) is None

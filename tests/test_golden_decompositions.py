@@ -49,7 +49,7 @@ def build(entry_id, k):
     kind, num = entry_id.split("/")[:2]
     if kind == "c3":
         return decompose_acyclic(criterion3_dag(int(num)), k)
-    return decompose_strong(criterion4_digraph(int(num)), k, seed=int(num))
+    return decompose_strong(criterion4_digraph(int(num)), k)
 
 
 def summarize(out):

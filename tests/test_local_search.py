@@ -3,8 +3,9 @@ import random
 import pytest
 
 from maxleaf.branching import OutBranching, leaf_count, validate
-from maxleaf.digraph import Digraph
+from maxleaf.digraph import Digraph, has_out_branching
 from maxleaf.local_search import (
+    Certificate,
     ExchangeMove,
     MoveRejection,
     apply_move,
@@ -14,7 +15,6 @@ from maxleaf.local_search import (
     dfs_branching,
     improve_to_1ae,
     is_1ae_optimal,
-    is_ae_optimal,
 )
 from maxleaf.oracles import naive_max_leaf_branching
 
@@ -29,6 +29,38 @@ def random_strong(n, seed, extra=0.25):
             if u != v and rng.random() < extra:
                 arcs.add((u, v))
     return Digraph.build(n, arcs)
+
+
+def exhaustive_1ae_certificate(D, T):
+    """Oracle: try every (tree arc, non-tree arc) swap in lexicographic
+    order and report the first one that yields more leaves."""
+    tree_arcs = sorted(T.arcs())
+    non_tree = sorted(D.arcs - set(tree_arcs))
+    for removed in tree_arcs:
+        for added in non_tree:
+            move = ExchangeMove.single(removed, added)
+            try:
+                if leaf_count(apply_move(D, T, move)) > leaf_count(T):
+                    return Certificate("improvable", move)
+            except MoveRejection:
+                pass
+    return Certificate("optimal")
+
+
+def random_branchings(count, seed):
+    """BFS/DFS branchings from random roots of random digraphs, n <= 9."""
+    rng = random.Random(seed)
+    while count > 0:
+        n = rng.randint(2, 9)
+        p = rng.uniform(0.15, 0.6)
+        D = Digraph.build(n, [(u, v) for u in range(n) for v in range(n)
+                              if u != v and rng.random() < p])
+        ok, roots = has_out_branching(D)
+        if not ok:
+            continue
+        build = rng.choice([bfs_branching, dfs_branching])
+        yield D, build(D, rng.choice(sorted(roots)), rng)
+        count -= 1
 
 
 class TestApplyMove:
@@ -85,11 +117,22 @@ class TestCertificate:
         T = bfs_branching(D, 0)
         assert is_1ae_optimal(D, T).status == "optimal"
 
-    def test_two_exchange_guarded_on_large_instances(self):
-        D = random_strong(61, 5)
-        T = bfs_branching(D, 0)
-        with pytest.raises(ValueError, match="limited"):
-            is_ae_optimal(D, T, ell=2)
+    def test_rejects_invalid_branching(self):
+        D = Digraph.build(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError):
+            is_1ae_optimal(D, OutBranching(3, 0, (-1, 0, 0)))
+
+    def test_matches_exhaustive_sweep(self):
+        improvable = rerooted = 0
+        for D, T in random_branchings(2500, seed=20070707):
+            cert = is_1ae_optimal(D, T)
+            assert cert == exhaustive_1ae_certificate(D, T), (sorted(D.arcs), T)
+            if cert.status == "improvable":
+                improvable += 1
+                (added,) = cert.violating_move.added
+                rerooted += added[1] == T.root
+        # the corpus exercises both move kinds, re-rooting included
+        assert improvable >= 400 and rerooted >= 200, (improvable, rerooted)
 
 
 class TestImprove:

@@ -8,7 +8,6 @@ from maxleaf.oracles import (
     BudgetExhausted,
     exact_max_leaf_branching,
     exact_max_leaf_tree,
-    exact_pathwidth,
     exact_vertex_separation,
     naive_max_leaf_branching,
 )
@@ -111,27 +110,27 @@ def complete_graph(n):
 
 class TestVertexSeparation:
     def test_empty_and_singleton(self):
-        assert exact_pathwidth(ugraph(0, [])) == 0
-        assert exact_pathwidth(ugraph(1, [])) == 0
+        assert exact_vertex_separation(ugraph(0, []))[0] == 0
+        assert exact_vertex_separation(ugraph(1, []))[0] == 0
 
     def test_path_graph(self):
-        assert exact_pathwidth(path_graph(6)) == 1
+        assert exact_vertex_separation(path_graph(6))[0] == 1
 
     def test_cycle_graph(self):
         G = ugraph(5, [(i, (i + 1) % 5) for i in range(5)])
-        assert exact_pathwidth(G) == 2
+        assert exact_vertex_separation(G)[0] == 2
 
     def test_complete_graph(self):
-        assert exact_pathwidth(complete_graph(5)) == 4
+        assert exact_vertex_separation(complete_graph(5))[0] == 4
 
     def test_caterpillar_pathwidth_one(self):
         edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
-        assert exact_pathwidth(ugraph(7, edges)) == 1
+        assert exact_vertex_separation(ugraph(7, edges))[0] == 1
 
     def test_spider_pathwidth_two(self):
         # three legs of length two meeting at a center
         edges = [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]
-        assert exact_pathwidth(ugraph(7, edges)) == 2
+        assert exact_vertex_separation(ugraph(7, edges))[0] == 2
 
     def test_ordering_achieves_cost(self):
         G = underlying_graph(random_digraph(8, 3, p=0.3))
@@ -155,4 +154,4 @@ class TestVertexSeparation:
     def test_monotone_under_edge_removal(self):
         G = complete_graph(5)
         sub = ugraph(5, [tuple(sorted(e)) for e in list(G.edges)[:6]])
-        assert exact_pathwidth(sub) <= exact_pathwidth(G)
+        assert exact_vertex_separation(sub)[0] <= exact_vertex_separation(G)[0]
