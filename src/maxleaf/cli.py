@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import branching, digraph
 from .branching import OutBranching, leaf_count
@@ -156,7 +157,12 @@ def _cmd_solve(args) -> int:
     if args.k is None:
         print("solve: --k required with --fpt", file=sys.stderr)
         return EXIT_USAGE
-    dec = decide_k_dmlob(D, args.k)
+    try:
+        dec = decide_k_dmlob(D, args.k,
+                             deadline=time.monotonic() + budget / 1000.0)
+    except BudgetExhausted as e:
+        print(json.dumps({"status": "budget", "lower_bound": e.best_value}))
+        return EXIT_BUDGET
     print(json.dumps(dec.to_dict()))
     if dec.answer == "yes":
         return EXIT_OK
@@ -276,8 +282,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    import time
-
     budget = args.time_budget_ms if args.time_budget_ms is not None else default_budget_ms()
     D = gen_ht(args.t)
     t0 = time.monotonic()

@@ -6,9 +6,16 @@ parent and whether it is still childless, together with the partition of
 bag vertices into connected components of the partial tree.  Tree arcs
 are committed when their later endpoint is introduced, so each host arc
 is considered exactly once.
+
+The root is chosen by the DP itself unless one is given.  Each committed
+arc gives a parent to a vertex that had none and merges two distinct
+blocks, and a finished state has one block over all n vertices.  So a
+finished state holds exactly n - 1 arcs and exactly one vertex without a
+parent, its root: one run covers every candidate root.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,9 +33,11 @@ from .digraph import (
     is_acyclic,
     is_strongly_connected,
     reachable_subdigraph,
+    strong_components,
     underlying_graph,
 )
 from .local_search import bfs_branching, improve_to_1ae
+from .oracles import BudgetExhausted
 
 
 @dataclass(frozen=True)
@@ -86,18 +95,27 @@ class DPRun:
     states_peak: int
 
 
-def dp_max_leaf(D: Digraph, P: PathDecomposition, root: int) -> Optional[tuple[int, OutBranching]]:
-    """Exact maximum leaf count over out-branchings of D rooted at root,
-    with a witness; None when no such out-branching exists."""
+def dp_max_leaf(D: Digraph, P: PathDecomposition,
+                root: Optional[int] = None) -> Optional[tuple[int, OutBranching]]:
+    """Exact maximum leaf count over out-branchings of D rooted at root
+    (at any vertex when root is None), with a witness; None when no such
+    out-branching exists."""
     run = dp_max_leaf_run(D, P, root)
     if run.value is None:
         return None
     return run.value, run.witness
 
 
-def dp_max_leaf_run(D: Digraph, P: PathDecomposition, root: int,
-                    lower_bound: int = 0) -> DPRun:
-    if not (0 <= root < D.n):
+def dp_max_leaf_run(D: Digraph, P: PathDecomposition,
+                    root: Optional[int] = None, lower_bound: int = 0,
+                    deadline: Optional[float] = None) -> DPRun:
+    """The DP of dp_max_leaf, with its peak table size.
+
+    States that cannot reach lower_bound leaves are dropped.  Past
+    deadline (a time.monotonic() value) the run raises BudgetExhausted
+    carrying lower_bound; without a deadline the clock is not read.
+    """
+    if root is not None and not (0 <= root < D.n):
         raise ValueError(f"root {root} out of range")
     err = validate_pd(underlying_graph(D), P)
     if err is not None:
@@ -108,6 +126,7 @@ def dp_max_leaf_run(D: Digraph, P: PathDecomposition, root: int,
     nice = to_nice(P)
     steps = nice.steps
     # leaf headroom after each step: forgets of non-root vertices remaining
+    # (of every vertex when the root is free)
     headroom = [0] * (len(steps) + 1)
     for si in range(len(steps) - 1, -1, -1):
         kind, v = steps[si]
@@ -130,7 +149,9 @@ def dp_max_leaf_run(D: Digraph, P: PathDecomposition, root: int,
             if cur is None or value > cur[0]:
                 new_table[state] = (value, back)
 
-        for state, (value, _) in table.items():
+        for i, (state, (value, _)) in enumerate(table.items()):
+            if deadline is not None and not i & 255 and time.monotonic() > deadline:
+                raise BudgetExhausted(lower_bound, None)
             roles, blocks = state
             role_of = {r[0]: (r[1], r[2]) for r in roles}
             if kind == "intro":
@@ -180,7 +201,7 @@ def dp_max_leaf_run(D: Digraph, P: PathDecomposition, root: int,
                         offer((nr, tuple(new_blocks)), value, (state, arcs))
             else:  # forget
                 has_parent, childless = role_of[v]
-                if not has_parent and v != root:
+                if not has_parent and root is not None and v != root:
                     continue
                 new_roles = tuple(r for r in roles if r[0] != v)
                 new_blocks = []
@@ -197,12 +218,12 @@ def dp_max_leaf_run(D: Digraph, P: PathDecomposition, root: int,
                 if emptied and (new_blocks or not last):
                     continue
                 new_blocks.sort(key=lambda b: b[0])
-                gained = 1 if childless and v != root else 0
+                gained = 1 if childless and has_parent else 0
                 offer((new_roles, tuple(new_blocks)),
                       value + gained, (state, ()))
 
         table = new_table
-        trace.append(dict(table))
+        trace.append(table)
         states_peak = max(states_peak, len(table))
         if not table:
             return DPRun(None, None, states_peak)
@@ -222,6 +243,8 @@ def dp_max_leaf_run(D: Digraph, P: PathDecomposition, root: int,
         arcs.extend(committed)
         state = prev_state
     parent = {w: u for u, w in arcs}
+    if root is None:
+        root = next(v for v in range(D.n) if v not in parent)
     T = OutBranching.from_parent_map(D.n, root, parent)
     assert validate(D, T) is None, "DP witness fails validation"
     assert leaf_count(T) == value, "DP witness leaf count mismatch"
@@ -263,15 +286,18 @@ def _is_acyclic_single_source(D: Digraph) -> bool:
     return is_acyclic(D) and sum(1 for v in range(D.n) if D.in_degree(v) == 0) == 1
 
 
-def decide_k_dmlob(D: Digraph, k: int,
-                   assume_supported: bool = False) -> Decision:
+def decide_k_dmlob(D: Digraph, k: int, assume_supported: bool = False,
+                   deadline: Optional[float] = None) -> Decision:
     """Does D have an out-branching with at least k leaves?
 
     Local search first; if it falls short, decompose (acyclic or strong
-    route) and run the DP over the decomposition for every candidate
-    root.  Digraphs outside the supported classes get "unsupported"
-    unless assume_supported is set (used for reachable subdigraphs,
-    where tree and branching leaf optima provably coincide).
+    route) and run the DP over the decomposition once, letting it choose
+    the root: a vertex that cannot reach all of D ends no spanning state.
+    Digraphs outside the supported classes get "unsupported" unless
+    assume_supported is set (used for reachable subdigraphs, where tree
+    and branching leaf optima provably coincide).  Past deadline (a
+    time.monotonic() value) the DP raises BudgetExhausted with the
+    local-search lower bound and witness.
     """
     ok, roots = has_out_branching(D)
     if not ok:
@@ -302,29 +328,35 @@ def decide_k_dmlob(D: Digraph, k: int,
 
     pd = outcome.decomposition
     lb = leaf_count(best)
-    best_val, best_T, peak = lb, best, 0
-    for root in sorted(roots):
-        run = dp_max_leaf_run(D, pd, root, lower_bound=lb)
-        peak = max(peak, run.states_peak)
-        if run.value is not None and run.value > best_val:
-            best_val, best_T = run.value, run.witness
-    if best_val >= k:
-        return Decision("yes", k, leaves=best_val, witness=best_T,
-                        method="dp", width=pd.width, states_peak=peak)
-    return Decision("no", k, leaves=best_val, method="dp",
-                    width=pd.width, states_peak=peak)
+    try:
+        run = dp_max_leaf_run(D, pd, lower_bound=lb, deadline=deadline)
+    except BudgetExhausted:
+        raise BudgetExhausted(lb, best) from None
+    if run.value is not None and run.value > lb:
+        lb, best = run.value, run.witness
+    if lb >= k:
+        return Decision("yes", k, leaves=lb, witness=best, method="dp",
+                        width=pd.width, states_peak=run.states_peak)
+    return Decision("no", k, leaves=lb, method="dp",
+                    width=pd.width, states_peak=run.states_peak)
 
 
 def decide_k_dmlot(D: Digraph, k: int) -> Decision:
     """Does D have an out-tree with at least k leaves?
 
-    Reduces to the spanning problem on each vertex's reachable
-    subdigraph; those subdigraphs are always in the supported class.
+    Reduces to the spanning problem on the reachable subdigraph of one
+    vertex per strong component (all vertices of a component reach the
+    same set); those subdigraphs are always in the supported class.
     """
     if k <= 0:
         return Decision("yes", k, leaves=0, method="structure")
     best_leaves = 0
+    comp = strong_components(D).component_id
+    seen: set[int] = set()
     for v in range(D.n):
+        if comp[v] in seen:
+            continue
+        seen.add(comp[v])
         sub, relabel = reachable_subdigraph(D, v)
         dec = decide_k_dmlob(sub, k, assume_supported=True)
         assert dec.answer != "unsupported", "reachable subdigraph not supported"

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -99,6 +100,19 @@ class TestSolve:
                            "--time-budget-ms", "0.0", p)
         assert code == EXIT_BUDGET
         assert json.loads(out)["status"] == "budget"
+
+    def test_fpt_budget_exhaustion(self, capsys, tmp_path):
+        # its strong decomposition has width 15; the DP cannot finish
+        D = generate(InstanceSpec("random_strong", (("n", 16), ("pct", 15)), 5))
+        p = write_graph(tmp_path, D)
+        start = time.monotonic()
+        code, out, _ = run(capsys, "solve", "--fpt", "--k", "13",
+                           "--time-budget-ms", "500", p)
+        assert time.monotonic() - start < 10
+        assert code == EXIT_BUDGET
+        doc = json.loads(out)
+        assert doc["status"] == "budget"
+        assert 1 <= doc["lower_bound"] < 13
 
     def test_malformed_graph_usage_error(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"

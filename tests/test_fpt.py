@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from maxleaf import fpt
 from maxleaf.branching import OutTree, leaf_count, validate
 from maxleaf.decomposition import PathDecomposition, ordering_to_decomposition
 from maxleaf.digraph import Digraph, underlying_graph
@@ -16,6 +18,7 @@ from maxleaf.fpt import (
     to_nice,
 )
 from maxleaf.oracles import (
+    BudgetExhausted,
     exact_max_leaf_tree,
     exact_vertex_separation,
     naive_max_leaf_branching,
@@ -154,6 +157,95 @@ class TestDpAgainstReference:
         D = Digraph.build(2, [(0, 1)])
         with pytest.raises(ValueError, match="root"):
             dp_max_leaf(D, good_pd(D), 5)
+
+
+class TestRootFreeDp:
+    """dp_max_leaf_run with no root against per-root runs and the naive
+    enumeration."""
+
+    @staticmethod
+    def check(D):
+        P = good_pd(D)
+        run = dp_max_leaf_run(D, P)
+        per_root = [dp_max_leaf_run(D, P, r).value for r in range(D.n)]
+        feasible = [v for v in per_root if v is not None]
+        naive, naive_T = naive_max_leaf_branching(D)
+        assert run.states_peak <= state_space_cap(P.width + 1)
+        if not feasible:
+            assert run.value is None and run.witness is None
+            assert naive_T is None
+            return False
+        assert run.value == max(feasible) == naive
+        assert validate(D, run.witness) is None
+        assert leaf_count(run.witness) == run.value
+        assert dp_max_leaf_run(D, P, lower_bound=run.value).value == run.value
+        return True
+
+    def test_every_digraph_on_three_vertices(self):
+        pairs = [(u, v) for u in range(3) for v in range(3) if u != v]
+        for mask in range(1 << len(pairs)):
+            arcs = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+            self.check(Digraph.build(3, arcs))
+
+    def test_random_digraphs(self):
+        spanned = unspanned = 0
+        for seed in range(48):  # each (n, p) pair twice
+            n = 1 + seed % 8
+            p = (0.15, 0.3, 0.5)[seed % 3]
+            if self.check(random_digraph(n, 300 + seed, p)):
+                spanned += 1
+            else:
+                unspanned += 1
+        assert spanned and unspanned
+
+
+def _strong_n5():
+    # strong; local search finds 3 leaves, the optimum, so k = 4 needs the DP
+    return Digraph.build(5, [(0, 4), (1, 0), (1, 2), (2, 1), (2, 3), (3, 1),
+                             (3, 4), (4, 0), (4, 2)])
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(fpt, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fpt, name, counting)
+    return calls
+
+
+class TestRunCounts:
+    def test_dmlob_runs_the_dp_once(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "dp_max_leaf_run")
+        dec = decide_k_dmlob(_strong_n5(), 4)
+        assert (dec.answer, dec.leaves, dec.method) == ("no", 3, "dp")
+        assert len(calls) == 1
+
+    def test_dmlot_decides_once_per_strong_component(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "decide_k_dmlob")
+        # a 3-cycle feeding an out-star: 4 strong components, 6 vertices
+        D = Digraph.build(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (3, 5)])
+        dec = decide_k_dmlot(D, 4)
+        assert (dec.answer, dec.leaves) == ("no", 3)
+        assert len(calls) == 4
+
+
+class TestDeadline:
+    def test_expired_deadline_raises_with_local_search_bound(self):
+        D = _strong_n5()
+        with pytest.raises(BudgetExhausted) as info:
+            decide_k_dmlob(D, 4, deadline=time.monotonic())
+        e = info.value
+        assert e.best_value == 3
+        assert validate(D, e.witness) is None
+        assert leaf_count(e.witness) == 3
+
+    def test_answer_before_the_dp_ignores_the_deadline(self):
+        dec = decide_k_dmlob(_strong_n5(), 3, deadline=time.monotonic())
+        assert (dec.answer, dec.method) == ("yes", "local-search")
 
 
 class TestDecideDmlob:
