@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .digraph import Digraph
+from .digraph import Digraph, FormatError
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,35 @@ class OutBranching:
 
     @staticmethod
     def from_json(text: str, n: int) -> "OutBranching":
-        doc = json.loads(text)
-        parent = {int(v): int(p) for v, p in doc["parent"].items()}
-        return OutBranching.from_parent_map(n, int(doc["root"]), parent)
+        """Parse ``{"root": r, "parent": {"v": p, ...}}`` over vertices
+        0..n-1; raises FormatError when the document does not fit that
+        schema.  Whether the arcs form an out-branching of a host digraph
+        is left to ``validate``."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"invalid JSON: {e}") from e
+        if not isinstance(doc, dict) or not isinstance(doc.get("parent"), dict) \
+                or "root" not in doc:
+            raise FormatError('branching JSON must have keys "root" and "parent" (an object)')
+        root = _vertex(doc["root"], n, "root")
+        parent: dict[int, int] = {}
+        for key, p in doc["parent"].items():
+            try:
+                v = int(key)
+            except ValueError:
+                raise FormatError(f"parent key {key!r} is not a vertex") from None
+            v = _vertex(v, n, "parent key")
+            if v in parent:
+                raise FormatError(f"vertex {v} has two parent entries")
+            parent[v] = _vertex(p, n, f"parent of {v}")
+        return OutBranching.from_parent_map(n, root, parent)
+
+
+def _vertex(x, n: int, what: str) -> int:
+    if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
+        raise FormatError(f"{what} {x!r} is not a vertex in 0..{n - 1}")
+    return x
 
 
 @dataclass(frozen=True)

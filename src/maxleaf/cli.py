@@ -1,9 +1,9 @@
 """Command-line surface tying generators, solvers, decomposition and the
 verification campaigns together.
 
-Exit codes: 0 success / Yes, 1 No, 2 usage error, 3 budget exhausted,
-4 internal assertion.  Machine-readable output goes to stdout,
-diagnostics to stderr.
+Exit codes: 0 success / Yes, 1 No, 2 usage or input-format error,
+3 budget exhausted, 4 internal assertion or any other internal error.
+Machine-readable output goes to stdout, diagnostics to stderr.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from . import branching, digraph
 from .branching import OutBranching, leaf_count
@@ -331,6 +332,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except AssertionError as e:
         print(f"internal assertion: {e}", file=sys.stderr)
+        return EXIT_ASSERT
+    except Exception:
+        # exit 1 means "no": a crash, MemoryError included, must not read as one
+        traceback.print_exc(file=sys.stderr)
         return EXIT_ASSERT
 
 

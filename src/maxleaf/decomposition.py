@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence
 from .branching import OutBranching, classify, leaf_count
 from .digraph import (
     Digraph,
+    FormatError,
     Graph,
     has_out_branching,
     in_class_L,
@@ -46,15 +47,32 @@ class PathDecomposition:
 
     @staticmethod
     def from_json(text: str) -> "PathDecomposition":
-        doc = json.loads(text)
+        """Parse ``{"bags": [[v, ...], ...]}``; raises FormatError unless
+        every bag is a list of integers."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"invalid JSON: {e}") from e
+        if not isinstance(doc, dict) or not isinstance(doc.get("bags"), list):
+            raise FormatError('decomposition JSON must have key "bags" (a list)')
+        for i, b in enumerate(doc["bags"]):
+            if not isinstance(b, list) or not all(
+                    isinstance(v, int) and not isinstance(v, bool) for v in b):
+                raise FormatError(f"bag #{i} is not a list of integers")
         return PathDecomposition(tuple(frozenset(b) for b in doc["bags"]))
 
     @staticmethod
     def from_text(text: str) -> "PathDecomposition":
+        """One bag per non-blank line, vertices separated by whitespace;
+        raises FormatError on a token that is not an integer."""
         bags = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if line.strip():
-                bags.append(frozenset(int(x) for x in line.split()))
+                try:
+                    bags.append(frozenset(int(x) for x in line.split()))
+                except ValueError:
+                    raise FormatError(f"non-integer vertex in bag {line!r}",
+                                      lineno) from None
         return PathDecomposition(tuple(bags))
 
 

@@ -2,9 +2,13 @@
 
 An out-branching is 1-arc-exchange (1-AE) optimal when no swap of one
 tree arc for one non-tree arc yields an out-branching with strictly
-more leaves.  ``_first_improving_1ae_move`` finds such a swap from the
-characterization of valid 1-exchanges; ``improve_to_1ae`` applies it
-until none is left and ``is_1ae_optimal`` certifies with it.
+more leaves.  Such a swap removes an arc (p, v) whose tail p has tree
+out-degree 1 and adds an arc out of an internal vertex: either (a, v)
+from outside v's subtree, or (a, root) from inside it, which re-roots
+the tree at v.  ``_first_improving_1ae_move`` visits the out-degree-1
+vertices p in increasing order and stops at the first that has such a
+swap; ``improve_to_1ae`` applies that swap until none is left and
+``is_1ae_optimal`` certifies with it.
 ``check_structural_conditions`` verifies the three necessary structural
 conditions that 1-AE optimal branchings satisfy.
 """
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .branching import OutBranching, leaf_count, leaf_set, require_valid
-from .digraph import Digraph, reachable_set
+from .digraph import Digraph
 
 
 @dataclass(frozen=True)
@@ -151,70 +155,52 @@ def check_structural_conditions(D: Digraph, T: OutBranching) -> list[Violation]:
 def _first_improving_1ae_move(D: Digraph, T: OutBranching) -> Optional[ExchangeMove]:
     """Lexicographically smallest improving 1-exchange, or None.
 
-    Equivalent to the exhaustive pair sweep: a valid 1-exchange either
-    (i) replaces the parent arc of the added arc's head v by (a, v) with
-    a outside v's subtree, or (ii) adds (a, root) and removes an arc of
-    the root-to-a tree path, re-rooting at the removed arc's head.
-    Everything else leaves two parentless vertices or a cycle.
+    Equivalent to the exhaustive pair sweep.  Swapping (p, v) for (a, b)
+    changes only the out-degrees of p and a, so it gains a leaf exactly
+    when p has tree out-degree 1 and a != p is internal; v is then p's
+    only child.  For such a removed arc the valid added arcs are
+    (i) (a, v) with a outside v's subtree, and (ii) (a, root) with a
+    inside v's subtree, which re-roots the tree at v; anything else
+    leaves two parentless vertices or a cycle.  The removed arc decides
+    the order first, so the out-degree-1 vertices p are visited in
+    increasing order and the search stops at the first p that has a
+    move, returning the smaller of its least move of each kind.
     """
     n, r = T.n, T.root
-    deg = T.out_degrees()
-    parent = T.parent
-    # subtree intervals via iterative preorder
     ch = T.children()
-    tin = [0] * n
-    tout = [0] * n
-    clock = 0
-    stack = [(r, False)]
+    # x lies in v's subtree iff pre[v] <= pre[x] < pre[v] + size[v]
+    pre = [0] * n
+    size = [1] * n
+    order = []
+    stack = [r]
     while stack:
-        x, done = stack.pop()
-        if done:
-            tout[x] = clock
+        x = stack.pop()
+        pre[x] = len(order)
+        order.append(x)
+        stack.extend(ch[x])
+    parent = T.parent
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+
+    into_root = [a for a in D.in_adj[r] if ch[a]]
+    for p in range(n):
+        if len(ch[p]) != 1:
             continue
-        tin[x] = clock
-        clock += 1
-        stack.append((x, True))
-        for c in reversed(ch[x]):
-            stack.append((c, False))
-
-    def in_subtree(x: int, v: int) -> bool:
-        return tin[v] <= tin[x] < tout[v]
-
-    def gain(rem_tail: int, add_tail: int) -> int:
-        # only the two tails change out-degree
-        delta = 0
-        if rem_tail == add_tail:
-            return 0
-        if deg[rem_tail] == 1:
-            delta += 1
-        if deg[add_tail] == 0:
-            delta -= 1
-        return delta
-
-    tree_arcs = T.arcs()
-    best: tuple | None = None
-    for a, b in D.arcs:
-        if (a, b) in tree_arcs:
-            continue
-        if b != r:
-            if in_subtree(a, b):
-                continue  # cycle
-            if gain(parent[b], a) > 0:
-                key = ((parent[b], b), (a, b))
-                if best is None or key < best:
-                    best = key
-        else:
-            # walk up from a; removing (parent[v], v) re-roots at v
-            v = a
-            while v != r:
-                if gain(parent[v], a) > 0:
-                    key = ((parent[v], v), (a, r))
-                    if best is None or key < best:
-                        best = key
-                v = parent[v]
-    if best is None:
-        return None
-    return ExchangeMove.single(*best)
+        v = ch[p][0]
+        lo, hi = pre[v], pre[v] + size[v]
+        added = None
+        for a in D.in_adj[v]:
+            if a != p and ch[a] and not lo <= pre[a] < hi:
+                added = (a, v)
+                break
+        for a in into_root:
+            if lo <= pre[a] < hi:
+                if added is None or (a, r) < added:
+                    added = (a, r)
+                break
+        if added is not None:
+            return ExchangeMove.single((p, v), added)
+    return None
 
 
 def is_1ae_optimal(D: Digraph, T: OutBranching) -> Certificate:
@@ -291,15 +277,17 @@ def best_of_restarts(D: Digraph, roots: Iterable[int], starts_per_root: int,
     """Best certified 1-AE optimal branching over randomized BFS/DFS starts.
 
     Deterministic given the seed; ties broken by canonical parent tuple.
+    Every root must reach all vertices, or the first start from it
+    raises ValueError.
     """
     roots = sorted(set(roots))
     if not roots:
         raise ValueError("empty root set")
+    if starts_per_root < 1:
+        raise ValueError(f"starts_per_root must be at least 1, got {starts_per_root}")
     best: OutBranching | None = None
     best_key: tuple | None = None
     for root in roots:
-        if len(reachable_set(D, root)) != D.n:
-            raise ValueError(f"root {root} cannot reach all vertices")
         for s in range(starts_per_root):
             rng = random.Random(seed * 1000003 + root * 8191 + s)
             start = bfs_branching(D, root, rng) if s % 2 == 0 else dfs_branching(D, root, rng)
@@ -307,5 +295,4 @@ def best_of_restarts(D: Digraph, roots: Iterable[int], starts_per_root: int,
             key = (-leaf_count(T), T.root, T.parent)
             if best_key is None or key < best_key:
                 best, best_key = T, key
-    assert best is not None
     return best

@@ -193,6 +193,45 @@ class TestCheck:
         assert code == EXIT_NO
         assert json.loads(out)["status"] == "improvable"
 
+    @pytest.fixture
+    def triangle_path(self, tmp_path):
+        from maxleaf.digraph import Digraph
+        return write_graph(tmp_path, Digraph.build(3, [(0, 1), (1, 2), (2, 0)]),
+                           "tri.txt")
+
+    @pytest.mark.parametrize("flag, artifact", [
+        ("--branching", '{"root": 0}'),              # no "parent" key
+        ("--branching", '{"root": 0, "parent": {"7": 0, "2": 1}}'),  # key out of range
+        ("--1ae", '{"root": 0}'),
+        ("--pd", '{"bags": [["x", 1]]}'),            # non-integer vertex
+    ])
+    def test_malformed_artifact_is_usage_error(self, capsys, tmp_path,
+                                               triangle_path, flag, artifact):
+        art = tmp_path / "artifact.json"
+        art.write_text(artifact)
+        code, _, err = run(capsys, "check", flag, triangle_path, str(art))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+
+    def test_malformed_text_pd_names_line(self, capsys, tmp_path, triangle_path):
+        art = tmp_path / "bad.pd"
+        art.write_text("0 1\n1 two\n")
+        code, _, err = run(capsys, "check", "--pd", triangle_path, str(art))
+        assert code == EXIT_USAGE
+        assert "line 2" in err
+
+    def test_internal_error_exits_4(self, capsys, monkeypatch, triangle_path):
+        import maxleaf.cli
+
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(maxleaf.cli, "best_of_restarts", out_of_memory)
+        code, out, err = run(capsys, "solve", "--local", triangle_path)
+        assert code == EXIT_ASSERT
+        assert out == ""
+        assert "MemoryError" in err
+
 
 class TestVerify:
     def test_theorem2_small_batch(self, capsys, tmp_path):

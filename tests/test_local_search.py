@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -61,6 +62,24 @@ def random_branchings(count, seed):
         build = rng.choice([bfs_branching, dfs_branching])
         yield D, build(D, rng.choice(sorted(roots)), rng)
         count -= 1
+
+
+def deep_dfs_branching(D, root, rng):
+    """Depth-first tree that parents each vertex at its first visit, so
+    its root paths are long and improve_to_1ae makes several moves."""
+    parent = [-1] * D.n
+    seen = [False] * D.n
+    stack = [(root, -1)]
+    while stack:
+        u, p = stack.pop()
+        if seen[u]:
+            continue
+        seen[u] = True
+        parent[u] = p
+        nbrs = list(D.out_adj[u])
+        rng.shuffle(nbrs)
+        stack.extend((w, u) for w in nbrs if not seen[w])
+    return OutBranching(D.n, root, tuple(parent))
 
 
 class TestApplyMove:
@@ -133,6 +152,26 @@ class TestCertificate:
                 rerooted += added[1] == T.root
         # the corpus exercises both move kinds, re-rooting included
         assert improvable >= 400 and rerooted >= 200, (improvable, rerooted)
+
+    def test_matches_exhaustive_sweep_along_trajectories(self):
+        # every tree improve_to_1ae passes through, n 8-14, up to its optimum
+        steps = rerooted = 0
+        rng = random.Random(7070)
+        for i in range(60):
+            n = 8 + i % 7
+            D = random_strong(n, rng.randrange(1 << 30), extra=rng.uniform(0.1, 0.4))
+            T0 = T = deep_dfs_branching(D, rng.randrange(n), rng)
+            while True:
+                cert = exhaustive_1ae_certificate(D, T)
+                assert is_1ae_optimal(D, T) == cert, (sorted(D.arcs), T)
+                if cert.status == "optimal":
+                    break
+                steps += 1
+                (added,) = cert.violating_move.added
+                rerooted += added[1] == T.root
+                T = apply_move(D, T, cert.violating_move)
+            assert improve_to_1ae(D, T0) == T
+        assert steps >= 200 and rerooted >= 80, (steps, rerooted)
 
 
 class TestImprove:
@@ -236,3 +275,25 @@ class TestBestOfRestarts:
         D = Digraph.build(2, [(0, 1), (1, 0)])
         with pytest.raises(ValueError, match="empty"):
             best_of_restarts(D, [], 1, seed=0)
+
+    def test_root_that_cannot_reach_all_rejected(self):
+        D = Digraph.build(3, [(0, 1), (1, 2), (2, 1)])
+        with pytest.raises(ValueError, match="reach"):
+            best_of_restarts(D, [0, 1], 2, seed=0)
+
+    def test_no_starts_rejected(self):
+        D = Digraph.build(2, [(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match="starts_per_root"):
+            best_of_restarts(D, [0], 0, seed=0)
+
+    def test_golden_results(self):
+        # SHA-256 of the results on a seeded corpus, recorded with the
+        # move finder that scanned every arc of D
+        lines = []
+        for n in range(6, 31):
+            for seed in range(4):
+                D = random_strong(n, 1000 * n + seed, extra=(0.1, 0.2, 0.3, 0.45)[seed])
+                T = best_of_restarts(D, range(n), 2, seed=seed)
+                lines.append(f"{n} {seed} {T.root} {T.parent}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "0bcfefa76bf408e39c8945d71ba6e2f9649ebacfcd022e7ecfeb8d24ccaf124f"
