@@ -1,7 +1,7 @@
 """Maximum-leaf out-branchings: local search, path decompositions, an
 FPT dynamic program, exact oracles and a verification harness."""
 
-from .branching import Classification, OutBranching, OutTree, classify, leaf_count, siblings, validate
+from .branching import Classification, OutBranching, OutTree, classify, leaf_count, validate
 from .decomposition import (
     DecomposeOutcome,
     PathDecomposition,

@@ -239,32 +239,3 @@ def leaf_set(T: OutBranching) -> set[int]:
         return set()
     deg = T.out_degrees()
     return {v for v in range(T.n) if deg[v] == 0}
-
-
-def siblings(T: OutBranching, u: int, v: int) -> bool:
-    """True iff neither of u, v is an ancestor of the other."""
-    if u == v:
-        raise ValueError("siblings undefined for u == v")
-    return not _is_ancestor(T, u, v) and not _is_ancestor(T, v, u)
-
-
-def _is_ancestor(T: OutBranching, a: int, d: int) -> bool:
-    cur = d
-    while cur != T.root:
-        cur = T.parent[cur]
-        if cur == a:
-            return True
-    return a == T.root
-
-
-def to_dot(T: OutBranching) -> str:
-    ls = leaf_set(T)
-    lines = ["digraph T {"]
-    for v in range(T.n):
-        style = ' [shape=doublecircle]' if v in ls else ""
-        lines.append(f"  {v}{style};")
-    for v in range(T.n):
-        if v != T.root:
-            lines.append(f"  {T.parent[v]} -> {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -617,17 +617,27 @@ def decompose_strong(D: Digraph, k: int,
             diags.append(f"leaf path width {out.width} not below 5k = {5 * k}")
         return out
 
-    def combine(node: BetaNode) -> PathDecomposition:
+    # combine: every leaf path's bags, the clones in them renamed back to
+    # the vertex they copy, unioned with the glue of each split above the
+    # leaf.  A post-order pass finds each split's glue; a pre-order pass
+    # then unions every bag with all of its glue at once.
+    leaf_pd: dict[int, PathDecomposition] = {}
+    glue_of: dict[int, frozenset[int]] = {}
+
+    def find_glue(node: BetaNode) -> set[int]:
+        """Decompose the leaf paths below node and record the glue of each
+        split there; returns the ids in node's bags, clones renamed."""
         if node.children is None:
-            return pd_for_leaf(node)
-        left = combine(node.children[0])
-        right = combine(node.children[1])
+            pd = leaf_pd[id(node)] = pd_for_leaf(node)
+            return set().union(*pd.bags)
+        lset = find_glue(node.children[0])
+        rset = find_glue(node.children[1])
         v, clone = node.separator
-        # rename the clone back to v throughout the second half
-        right_bags = [b - {clone} | {v} if clone in b else b
-                      for b in right.bags]
-        lverts = by_orig(set().union(*left.bags))
-        rverts = by_orig(set().union(*right_bags))
+        if clone in rset:
+            rset.remove(clone)
+            rset.add(v)
+        lverts = by_orig(lset)
+        rverts = by_orig(rset)
         # Y: every id on one side whose original vertex has an in-neighbour
         # among the other side's; walk the arcs of the smaller side
         small, large = sorted((lverts, rverts), key=len)
@@ -640,11 +650,29 @@ def decompose_strong(D: Digraph, k: int,
         if len(Y - {v}) > 2 * k:
             diags.append(
                 f"cross-neighbor set size {len(Y)} exceeds 2k = {2 * k}")
-        glue = frozenset(Y | {v})
-        bags = tuple(b | glue for b in list(left.bags) + right_bags)
-        return PathDecomposition(bags)
+        glue = glue_of[id(node)] = frozenset(Y | {v})
+        return lset | rset | glue
 
-    pd = tighten(underlying_graph(D), combine(bt.root_node))
+    def combine(node: BetaNode, rename: dict[int, int],
+                inherited: frozenset[int], bags: list[frozenset[int]]) -> None:
+        """Append node's final bags; rename maps ids below node to their
+        final ids, and inherited is the renamed glue of the splits above."""
+        if node.children is None:
+            for b in leaf_pd[id(node)].bags:
+                if not rename.keys().isdisjoint(b):
+                    b = frozenset(rename.get(x, x) for x in b)
+                bags.append(b | inherited)
+            return
+        inherited = inherited | {rename.get(x, x) for x in glue_of[id(node)]}
+        v, clone = node.separator
+        combine(node.children[0], rename, inherited, bags)
+        combine(node.children[1], {**rename, clone: rename.get(v, v)},
+                inherited, bags)
+
+    find_glue(bt.root_node)
+    combined: list[frozenset[int]] = []
+    combine(bt.root_node, {}, frozenset(), combined)
+    pd = tighten(underlying_graph(D), PathDecomposition(tuple(combined)))
     if pd.width > 2 * (t + 1.5) * k:
         diags.append(
             f"final width {pd.width} exceeds 2(t+1.5)k = {2 * (t + 1.5) * k}")

@@ -59,10 +59,6 @@ class Digraph:
         """True iff the digraph has no directed 2-cycle."""
         return all((v, u) not in self.arcs for u, v in self.arcs)
 
-    def double_arcs(self) -> set[tuple[int, int]]:
-        """Arcs whose reverse is also present, both directions listed."""
-        return {(u, v) for u, v in self.arcs if (v, u) in self.arcs}
-
     def in_degree(self, v: int) -> int:
         return len(self.in_adj[v])
 
@@ -181,14 +177,6 @@ def serialize(D: Digraph) -> str:
 
 def serialize_json(D: Digraph) -> str:
     return json.dumps({"n": D.n, "arcs": [list(a) for a in sorted(D.arcs)]})
-
-
-def to_dot(D: Digraph) -> str:
-    lines = ["digraph D {"]
-    lines.extend(f"  {v};" for v in range(D.n))
-    lines.extend(f"  {u} -> {v};" for u, v in sorted(D.arcs))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def strong_components(D: Digraph) -> StrongComponentIndex:

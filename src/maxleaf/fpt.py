@@ -70,10 +70,19 @@ def to_nice(P: PathDecomposition) -> NicePD:
     return NicePD(tuple(steps), width)
 
 
-# state encoding:
-#   roles:  tuple of (vertex, has_parent, childless) sorted by vertex
-#   blocks: tuple of sorted vertex tuples, sorted by smallest member
-State = tuple[tuple[tuple[int, bool, bool], ...], tuple[tuple[int, ...], ...]]
+# State encoding.  Each bag vertex holds a slot, the lowest one free when
+# it is introduced, so a bag's slots are the same in every state of a step.
+# A state is (has_parent_mask, childless_mask, labels): the masks are bit
+# sets over slots and labels is a tuple by slot, 0 for a free slot and
+# block labels 1, 2, ... numbered in order of first occurrence (restricted
+# growth).  The form is canonical without sorting.
+State = tuple[int, int, tuple[int, ...]]
+
+# Most states one run may hold, summed over all the tables its witness
+# reconstruction keeps; past it the run raises BudgetExhausted.  Set so
+# that the width-15 instance random_strong n 16 pct 15 seed 5 at k = 13
+# stops here, and not by MemoryError, under a 1 GiB address-space limit.
+MAX_DP_STATES = 1_000_000
 
 
 def state_space_cap(bag_size: int) -> int:
@@ -106,6 +115,32 @@ def dp_max_leaf(D: Digraph, P: PathDecomposition,
     return run.value, run.witness
 
 
+def _canonical(raw) -> tuple[int, ...]:
+    """Relabel blocks 1, 2, ... in order of first occurrence; 0 (a free
+    slot) stays 0."""
+    seen = {0: 0}
+    return tuple([seen.setdefault(x, len(seen)) for x in raw])
+
+
+def _intro_moves(labels: tuple[int, ...], s: int, targets: int,
+                 parent_label: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Every set of children for a vertex introduced into slot s, as
+    (children mask, labels after the merge).  Children come from the
+    slots in targets, at most one per block and none from the parent's
+    block (parent_label, 0 when there is no parent), so no cycle closes."""
+    groups: dict[int, list[int]] = {}
+    for i, lab in enumerate(labels):
+        if targets >> i & 1 and lab != parent_label:
+            groups.setdefault(lab, []).append(1 << i)
+    combos = [(0, 1 << parent_label if parent_label else 0)]
+    for lab, bits in groups.items():
+        combos += [(kids | b, merged | 1 << lab) for kids, merged in combos
+                   for b in bits]
+    return [(kids, _canonical(-1 if i == s or merged >> lab & 1 else lab
+                              for i, lab in enumerate(labels)))
+            for kids, merged in combos]
+
+
 def dp_max_leaf_run(D: Digraph, P: PathDecomposition,
                     root: Optional[int] = None, lower_bound: int = 0,
                     deadline: Optional[float] = None) -> DPRun:
@@ -113,7 +148,8 @@ def dp_max_leaf_run(D: Digraph, P: PathDecomposition,
 
     States that cannot reach lower_bound leaves are dropped.  Past
     deadline (a time.monotonic() value) the run raises BudgetExhausted
-    carrying lower_bound; without a deadline the clock is not read.
+    carrying lower_bound; without a deadline the clock is not read.  A
+    run holding more than MAX_DP_STATES states raises it too.
     """
     if root is not None and not (0 <= root < D.n):
         raise ValueError(f"root {root} out of range")
@@ -123,6 +159,7 @@ def dp_max_leaf_run(D: Digraph, P: PathDecomposition,
     if D.n == 1:
         return DPRun(0, OutBranching(1, 0, (-1,)), 1)
 
+    max_states = MAX_DP_STATES
     nice = to_nice(P)
     steps = nice.steps
     # leaf headroom after each step: forgets of non-root vertices remaining
@@ -131,118 +168,118 @@ def dp_max_leaf_run(D: Digraph, P: PathDecomposition,
     for si in range(len(steps) - 1, -1, -1):
         kind, v = steps[si]
         headroom[si] = headroom[si + 1] + (1 if kind == "forget" and v != root else 0)
-    # table: state -> (value, backpointer)
-    # backpointer: (prev_state, arcs committed at this step)
-    empty: State = ((), ())
-    table: dict[State, tuple[int, tuple]] = {empty: (0, None)}
-    trace: list[dict[State, tuple[int, tuple]]] = []
+    # table: state -> (value, previous state, parent slot or -1, children mask)
+    empty: State = (0, 0, (0,) * (nice.width + 1))
+    table: dict[State, tuple] = {empty: (0, None, -1, 0)}
+    trace: list[dict[State, tuple]] = []
+    held = 0  # states in trace
     states_peak = 1
+    vertex_at: list[int] = [-1] * (nice.width + 1)  # slot -> bag vertex
+    slot_of: dict[int, int] = {}
+    intro_at: dict[int, tuple[int, tuple[int, ...]]] = {}  # step -> (v, vertex_at)
+    intro_memo: dict[tuple, list] = {}
+    forget_memo: dict[tuple, tuple[tuple[int, ...], bool]] = {}
 
     for si, (kind, v) in enumerate(steps):
-        last = si == len(steps) - 1
-        new_table: dict[State, tuple[int, tuple]] = {}
+        new_table: dict[State, tuple] = {}
+        hr = headroom[si + 1]
+        if kind == "intro":
+            s = vertex_at.index(-1)
+            vertex_at[s] = v
+            slot_of[v] = s
+            intro_at[si] = (v, tuple(vertex_at))
+            vb = 1 << s
+            out_mask = 0
+            parents = [(-1, 0)]
+            for w, t in slot_of.items():
+                if w == v:
+                    continue
+                if w != root and (v, w) in D.arcs:
+                    out_mask |= 1 << t
+                if v != root and (w, v) in D.arcs:
+                    parents.append((t, 1 << t))
+        else:
+            s = slot_of.pop(v)
+            vertex_at[s] = -1
+            vb = 1 << s
+            needs_parent = root is not None and v != root
+            # a vertex alone in its block may go only with the last step,
+            # when the bag empties with it
+            lone_ok = si == len(steps) - 1
 
-        def offer(state: State, value: int, back: tuple) -> None:
-            if value + headroom[si + 1] < lower_bound:
-                return
-            cur = new_table.get(state)
-            if cur is None or value > cur[0]:
-                new_table[state] = (value, back)
-
-        for i, (state, (value, _)) in enumerate(table.items()):
-            if deadline is not None and not i & 255 and time.monotonic() > deadline:
+        for i, (state, entry) in enumerate(table.items()):
+            if not i & 255 and (
+                    held + len(new_table) > max_states
+                    or deadline is not None and time.monotonic() > deadline):
                 raise BudgetExhausted(lower_bound, None)
-            roles, blocks = state
-            role_of = {r[0]: (r[1], r[2]) for r in roles}
+            value = entry[0]
+            hp, cl, labels = state
             if kind == "intro":
-                bag = list(role_of)
-                in_arcs = [u for u in bag if (u, v) in D.arcs] if v != root else []
-                out_targets = [
-                    w for w in bag
-                    if (v, w) in D.arcs and not role_of[w][0] and w != root
-                ]
-                block_of = {u: bi for bi, blk in enumerate(blocks) for u in blk}
-                for parent in [None] + in_arcs:
-                    for mask in range(1 << len(out_targets)):
-                        kids = [out_targets[i] for i in range(len(out_targets))
-                                if mask >> i & 1]
-                        used = set()
-                        ok = True
-                        for w in kids:
-                            b = block_of[w]
-                            if b in used:
-                                ok = False
-                                break
-                            used.add(b)
-                        if ok and parent is not None and block_of[parent] in used:
-                            ok = False
-                        if not ok:
-                            continue
-                        merged = used | ({block_of[parent]} if parent is not None else set())
-                        new_blocks = [tuple(blk) for bi, blk in enumerate(blocks)
-                                      if bi not in merged]
-                        big = (v,) + tuple(
-                            u for bi in sorted(merged) for u in blocks[bi])
-                        new_blocks.append(tuple(sorted(big)))
-                        new_blocks.sort(key=lambda b: b[0])
-                        new_roles = dict(role_of)
-                        new_roles[v] = (parent is not None, True)
-                        for w in kids:
-                            new_roles[w] = (True, new_roles[w][1])
-                        if parent is not None:
-                            new_roles[parent] = (new_roles[parent][0], False)
-                        if kids:
-                            new_roles[v] = (new_roles[v][0], False)
-                        nr = tuple(sorted(
-                            (u, hp, cl) for u, (hp, cl) in new_roles.items()))
-                        arcs = tuple(
-                            ([(parent, v)] if parent is not None else [])
-                            + [(v, w) for w in kids])
-                        offer((nr, tuple(new_blocks)), value, (state, arcs))
+                if value + hr < lower_bound:
+                    continue
+                targets = out_mask & ~hp
+                for p, pb in parents:
+                    pl = labels[p] if p >= 0 else 0
+                    key = (labels, s, targets, pl)
+                    moves = intro_memo.get(key)
+                    if moves is None:
+                        moves = intro_memo[key] = _intro_moves(labels, s, targets, pl)
+                    base_hp = hp | vb if pb else hp
+                    base_cl = cl & ~pb
+                    for kids, new_labels in moves:
+                        nxt = (base_hp | kids, base_cl if kids else base_cl | vb,
+                               new_labels)
+                        cur = new_table.get(nxt)
+                        if cur is None or value > cur[0]:
+                            new_table[nxt] = (value, state, p, kids)
             else:  # forget
-                has_parent, childless = role_of[v]
-                if not has_parent and root is not None and v != root:
+                if needs_parent and not hp & vb:
                     continue
-                new_roles = tuple(r for r in roles if r[0] != v)
-                new_blocks = []
-                emptied = False
-                for blk in blocks:
-                    if v in blk:
-                        rest = tuple(u for u in blk if u != v)
-                        if rest:
-                            new_blocks.append(rest)
-                        else:
-                            emptied = True
-                    else:
-                        new_blocks.append(blk)
-                if emptied and (new_blocks or not last):
+                key = (labels, s)
+                hit = forget_memo.get(key)
+                if hit is None:
+                    lone = labels.count(labels[s]) == 1
+                    hit = forget_memo[key] = (
+                        _canonical(0 if j == s else lab for j, lab in enumerate(labels)),
+                        lone)
+                new_labels, lone = hit
+                if lone and not lone_ok:
                     continue
-                new_blocks.sort(key=lambda b: b[0])
-                gained = 1 if childless and has_parent else 0
-                offer((new_roles, tuple(new_blocks)),
-                      value + gained, (state, ()))
+                nv = value + 1 if hp & cl & vb else value
+                if nv + hr < lower_bound:
+                    continue
+                nxt = (hp & ~vb, cl & ~vb, new_labels)
+                cur = new_table.get(nxt)
+                if cur is None or nv > cur[0]:
+                    new_table[nxt] = (nv, state, -1, 0)
 
         table = new_table
         trace.append(table)
+        held += len(table)
         states_peak = max(states_peak, len(table))
+        if held > max_states:
+            raise BudgetExhausted(lower_bound, None)
         if not table:
             return DPRun(None, None, states_peak)
 
-    final = table.get(((), ()))
+    final = table.get(empty)
     if final is None:
         return DPRun(None, None, states_peak)
     value = final[0]
 
     # reconstruct committed arcs back through the trace
-    arcs: list[tuple[int, int]] = []
-    state: State = ((), ())
+    parent: dict[int, int] = {}
+    state = empty
     for si in range(len(steps) - 1, -1, -1):
-        layer = trace[si]
-        _, back = layer[state]
-        prev_state, committed = back if back is not None else (((), ()), ())
-        arcs.extend(committed)
+        _, prev_state, p, kids = trace[si][state]
+        if si in intro_at:
+            v, at = intro_at[si]
+            if p >= 0:
+                parent[v] = at[p]
+            for t, w in enumerate(at):
+                if kids >> t & 1:
+                    parent[w] = v
         state = prev_state
-    parent = {w: u for u, w in arcs}
     if root is None:
         root = next(v for v in range(D.n) if v not in parent)
     T = OutBranching.from_parent_map(D.n, root, parent)

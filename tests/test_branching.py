@@ -4,8 +4,6 @@ from maxleaf.branching import (
     OutBranching,
     classify,
     leaf_count,
-    siblings,
-    to_dot,
     validate,
 )
 from maxleaf.digraph import Digraph
@@ -98,36 +96,11 @@ class TestLeafCount:
         assert leaf_count(OutBranching(1, 0, (-1,))) == 0
 
 
-class TestSiblings:
-    def test_star_non_roots_are_siblings(self):
-        T = star_branching(4)
-        assert siblings(T, 1, 2)
-        assert siblings(T, 2, 3)
-
-    def test_path_never_siblings(self):
-        T = path_branching(4)
-        for u in range(4):
-            for v in range(4):
-                if u != v:
-                    assert not siblings(T, u, v)
-
-    def test_root_never_sibling(self):
-        T = star_branching(4)
-        assert not siblings(T, 0, 2)
-
-    def test_same_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            siblings(path_branching(3), 1, 1)
-
-
 class TestSerialization:
     def test_json_round_trip(self):
         T = OutBranching.from_parent_map(4, 2, {0: 2, 1: 0, 3: 2})
         back = OutBranching.from_json(T.to_json(), 4)
         assert back == T
-
-    def test_dot_marks_leaves(self):
-        assert "doublecircle" in to_dot(star_branching(3))
 
 
 def test_depth_increases_along_arcs():

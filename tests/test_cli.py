@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import maxleaf
 from maxleaf.cli import (
     EXIT_ASSERT,
     EXIT_BUDGET,
@@ -111,6 +117,30 @@ class TestSolve:
         assert time.monotonic() - start < 10
         assert code == EXIT_BUDGET
         doc = json.loads(out)
+        assert doc["status"] == "budget"
+        assert 1 <= doc["lower_bound"] < 13
+
+    def test_fpt_state_cap_exits_3_before_memory_runs_out(self, tmp_path):
+        # the width-15 instance again, with no time limit in reach: only
+        # the DP state cap (lowered here) can stop it inside 512 MiB
+        D = generate(InstanceSpec("random_strong", (("n", 16), ("pct", 15)), 5))
+        p = write_graph(tmp_path, D)
+        code = ("import sys; from maxleaf import cli, fpt; "
+                "fpt.MAX_DP_STATES = 200_000; sys.exit(cli.main(sys.argv[1:]))")
+        limit = 512 << 20
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(maxleaf.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "solve", "--fpt", "--k", "13",
+             "--time-budget-ms", "600000", p],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=cap_address_space)
+        assert "MemoryError" not in proc.stderr
+        assert proc.returncode == EXIT_BUDGET, proc.stderr
+        doc = json.loads(proc.stdout)
         assert doc["status"] == "budget"
         assert 1 <= doc["lower_bound"] < 13
 

@@ -14,7 +14,6 @@ from maxleaf.digraph import (
     serialize,
     serialize_json,
     strong_components,
-    to_dot,
     underlying_graph,
 )
 
@@ -68,9 +67,6 @@ class TestParse:
     def test_canonical_serialization_sorted(self):
         D = build(3, [(2, 0), (0, 1)])
         assert serialize(D) == "3 2\n0 1\n2 0\n"
-
-    def test_dot_export_mentions_arcs(self):
-        assert "0 -> 1" in to_dot(build(2, [(0, 1)]))
 
 
 class TestStrongComponents:
@@ -254,7 +250,3 @@ class TestDigraphInvariants:
     def test_oriented_flag(self):
         assert build(3, [(0, 1), (1, 2)]).is_oriented()
         assert not build(3, [(0, 1), (1, 0)]).is_oriented()
-
-    def test_double_arcs_derived(self):
-        D = build(3, [(0, 1), (1, 0), (1, 2)])
-        assert D.double_arcs() == {(0, 1), (1, 0)}

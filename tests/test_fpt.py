@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxleaf import fpt
 from maxleaf.branching import OutTree, leaf_count, validate
@@ -19,6 +21,7 @@ from maxleaf.fpt import (
 )
 from maxleaf.oracles import (
     BudgetExhausted,
+    VertexOrdering,
     exact_max_leaf_tree,
     exact_vertex_separation,
     naive_max_leaf_branching,
@@ -199,6 +202,46 @@ class TestRootFreeDp:
         assert spanned and unspanned
 
 
+@st.composite
+def digraphs_with_orderings(draw):
+    """A digraph with n <= 8 and at most 2n arcs (so the enumerating
+    references stay cheap), and a random vertex ordering."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)
+                if pairs else st.just([]))
+    order = draw(st.permutations(range(n)))
+    return Digraph.build(n, arcs), order
+
+
+class TestDpProperties:
+    """The DP on decompositions induced by arbitrary vertex orderings,
+    not only the paper's constructions, against the enumerating
+    references."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(digraphs_with_orderings())
+    def test_matches_enumeration(self, case):
+        D, order = case
+        # the cost field is not read by ordering_to_decomposition
+        P = ordering_to_decomposition(underlying_graph(D),
+                                      VertexOrdering(tuple(order), 0))
+        want_at = {root: best_rooted(D, root) for root in range(D.n)}
+        feasible = [v for v in want_at.values() if v is not None]
+        assert max(feasible, default=0) == naive_max_leaf_branching(D)[0]
+        want_at[None] = max(feasible, default=None)
+        for root, want in want_at.items():
+            run = dp_max_leaf_run(D, P, root)
+            assert run.value == want
+            if want is None:
+                continue
+            assert validate(D, run.witness) is None
+            assert leaf_count(run.witness) == want
+            if root is not None:
+                assert run.witness.root == root
+            assert dp_max_leaf_run(D, P, root, lower_bound=want).value == want
+
+
 def _strong_n5():
     # strong; local search finds 3 leaves, the optimum, so k = 4 needs the DP
     return Digraph.build(5, [(0, 4), (1, 0), (1, 2), (2, 1), (2, 3), (3, 1),
@@ -246,6 +289,28 @@ class TestDeadline:
     def test_answer_before_the_dp_ignores_the_deadline(self):
         dec = decide_k_dmlob(_strong_n5(), 3, deadline=time.monotonic())
         assert (dec.answer, dec.method) == ("yes", "local-search")
+
+
+class TestStateCap:
+    def test_cap_raises_with_local_search_bound(self, monkeypatch):
+        monkeypatch.setattr(fpt, "MAX_DP_STATES", 10)
+        D = _strong_n5()
+        with pytest.raises(BudgetExhausted) as info:
+            decide_k_dmlob(D, 4)
+        e = info.value
+        assert e.best_value == 3
+        assert validate(D, e.witness) is None
+        assert leaf_count(e.witness) == 3
+
+    def test_small_cap_raises_and_ample_cap_does_not(self, monkeypatch):
+        D = _strong_n5()
+        P = good_pd(D)
+        want = dp_max_leaf_run(D, P).value
+        monkeypatch.setattr(fpt, "MAX_DP_STATES", 10)
+        with pytest.raises(BudgetExhausted):
+            dp_max_leaf_run(D, P)
+        monkeypatch.setattr(fpt, "MAX_DP_STATES", 10_000)
+        assert dp_max_leaf_run(D, P).value == want == 3
 
 
 class TestDecideDmlob:
