@@ -27,7 +27,6 @@ from .generators import InstanceSpec, gen_ht, generate
 from .local_search import (
     Certificate,
     ExchangeMove,
-    apply_move,
     best_of_restarts,
     check_structural_conditions,
     improve_to_1ae,

@@ -24,7 +24,7 @@ from .decomposition import (
 )
 from .digraph import Digraph, underlying_graph
 from .fpt import decide_k_dmlob
-from .generators import InstanceSpec, gen_ht, generate
+from .generators import InstanceSpec, generate
 from .harness import (
     Report,
     prune_to_in_degree_2,
@@ -101,10 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--params", default=None)
     v.add_argument("--time-budget-ms", type=float, default=None)
     v.add_argument("--out", help="prefix for CSV/JSON report files")
-
-    b = sub.add_parser("bench", help="timings on the extremal family")
-    b.add_argument("--t", type=int, default=6)
-    b.add_argument("--time-budget-ms", type=float, default=None)
     return ap
 
 
@@ -134,13 +130,21 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     D = _read_digraph(args.graph)
+    if args.fpt and args.k is None:
+        print("solve: --k required with --fpt", file=sys.stderr)
+        return EXIT_USAGE
     budget = args.time_budget_ms if args.time_budget_ms is not None else default_budget_ms()
+    try:
+        return _solve(args, D, budget)
+    except BudgetExhausted as e:
+        print(json.dumps({"status": "budget", "lower_bound": e.best_value}))
+        return EXIT_BUDGET
+
+
+def _solve(args, D: Digraph, budget: float) -> int:
+    deadline = time.monotonic() + budget / 1000.0
     if args.exact:
-        try:
-            value, T = exact_max_leaf_branching(D, budget)
-        except BudgetExhausted as e:
-            print(json.dumps({"status": "budget", "lower_bound": e.best_value}))
-            return EXIT_BUDGET
+        value, T = exact_max_leaf_branching(D, budget)
         out = {"leaves": value, "witness": None}
         if T is not None:
             out["witness"] = json.loads(T.to_json())
@@ -151,19 +155,11 @@ def _cmd_solve(args) -> int:
         if not ok:
             print(json.dumps({"leaves": 0, "witness": None}))
             return EXIT_NO
-        T = best_of_restarts(D, roots, 2, args.seed)
+        T = best_of_restarts(D, roots, 2, args.seed, deadline)
         print(json.dumps({"leaves": leaf_count(T),
                           "witness": json.loads(T.to_json())}))
         return EXIT_OK
-    if args.k is None:
-        print("solve: --k required with --fpt", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        dec = decide_k_dmlob(D, args.k,
-                             deadline=time.monotonic() + budget / 1000.0)
-    except BudgetExhausted as e:
-        print(json.dumps({"status": "budget", "lower_bound": e.best_value}))
-        return EXIT_BUDGET
+    dec = decide_k_dmlob(D, args.k, deadline=deadline)
     print(json.dumps(dec.to_dict()))
     if dec.answer == "yes":
         return EXIT_OK
@@ -220,8 +216,8 @@ def _cmd_check(args) -> int:
         out = {"valid": True, "status": cert.status}
         if cert.violating_move is not None:
             out["violating_move"] = {
-                "removed": sorted(cert.violating_move.removed),
-                "added": sorted(cert.violating_move.added),
+                "removed": [cert.violating_move.removed],
+                "added": [cert.violating_move.added],
             }
         print(json.dumps(out))
         return EXIT_OK if cert.status == "optimal" else EXIT_NO
@@ -282,28 +278,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_NO
 
 
-def _cmd_bench(args) -> int:
-    budget = args.time_budget_ms if args.time_budget_ms is not None else default_budget_ms()
-    D = gen_ht(args.t)
-    t0 = time.monotonic()
-    _, roots = digraph.has_out_branching(D)
-    T = best_of_restarts(D, roots, 1, 0)
-    t1 = time.monotonic()
-    row = {"t": args.t, "n": D.n, "m": D.m,
-           "local_search_leaves": leaf_count(T),
-           "local_search_s": round(t1 - t0, 3)}
-    try:
-        value, _ = exact_max_leaf_branching(
-            D, budget, initial_lower_bound=(leaf_count(T), T))
-        row["oracle_leaves"] = value
-        row["oracle_s"] = round(time.monotonic() - t1, 3)
-    except BudgetExhausted as e:
-        row["oracle_leaves"] = None
-        row["oracle_lower_bound"] = e.best_value
-    print(json.dumps(row))
-    return EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     try:
@@ -321,8 +295,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_check(args)
         if args.cmd == "verify":
             return _cmd_verify(args)
-        if args.cmd == "bench":
-            return _cmd_bench(args)
         return EXIT_USAGE
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -109,29 +109,36 @@ def _parse_json(text: str) -> Digraph:
     if not isinstance(doc, dict) or "n" not in doc or "arcs" not in doc:
         raise FormatError('JSON document must have keys "n" and "arcs"')
     n = doc["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise FormatError('"n" must be a nonnegative integer')
+    if not isinstance(doc["arcs"], list):
+        raise FormatError('"arcs" must be a list')
     arcs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for i, pair in enumerate(doc["arcs"]):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise FormatError(f"arc #{i} is not a pair")
         u, v = pair
-        _check_arc(u, v, n, (u, v) in seen, line=None)
-        seen.add((u, v))
+        _check_arc(u, v, n, seen, line=None)
         arcs.append((u, v))
     return Digraph.build(n, arcs)
 
 
-def _check_arc(u, v, n: int, duplicate: bool, line: int | None) -> None:
-    if not (isinstance(u, int) and isinstance(v, int)):
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_arc(u, v, n: int, seen: set[tuple[int, int]], line: int | None) -> None:
+    """Reject a malformed or repeated arc; record it in `seen`."""
+    if not (_is_int(u) and _is_int(v)):
         raise FormatError(f"non-integer arc endpoint ({u}, {v})", line)
     if u == v:
         raise FormatError(f"self-loop at vertex {u}", line)
     if not (0 <= u < n) or not (0 <= v < n):
         raise FormatError(f"vertex index out of range in arc ({u}, {v})", line)
-    if duplicate:
+    if (u, v) in seen:
         raise FormatError(f"duplicate arc ({u}, {v})", line)
+    seen.add((u, v))
 
 
 def _parse_edge_list(text: str) -> Digraph:
@@ -160,8 +167,7 @@ def _parse_edge_list(text: str) -> Digraph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise FormatError(f"non-integer arc {line!r}", lineno) from None
-        _check_arc(u, v, n, (u, v) in seen, lineno)
-        seen.add((u, v))
+        _check_arc(u, v, n, seen, lineno)
         arcs.append((u, v))
     if len(arcs) != m:
         raise FormatError(f"header promises {m} arcs, found {len(arcs)}", lineno)

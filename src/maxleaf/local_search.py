@@ -7,7 +7,8 @@ out-degree 1 and adds an arc out of an internal vertex: either (a, v)
 from outside v's subtree, or (a, root) from inside it, which re-roots
 the tree at v.  ``_first_improving_1ae_move`` visits the out-degree-1
 vertices p in increasing order and stops at the first that has such a
-swap; ``improve_to_1ae`` applies that swap until none is left and
+swap; ``improve_to_1ae`` applies that swap in place until none is
+left and
 ``is_1ae_optimal`` certifies with it.
 ``check_structural_conditions`` verifies the three necessary structural
 conditions that 1-AE optimal branchings satisfy.
@@ -15,27 +16,21 @@ conditions that 1-AE optimal branchings satisfy.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .branching import OutBranching, leaf_count, leaf_set, require_valid
 from .digraph import Digraph
+from .oracles import BudgetExhausted
 
 
 @dataclass(frozen=True)
 class ExchangeMove:
-    """Swap `removed` tree arcs for `added` non-tree arcs, equal sizes."""
+    """Swap the tree arc `removed` for the non-tree arc `added`."""
 
-    removed: frozenset[tuple[int, int]]
-    added: frozenset[tuple[int, int]]
-
-    @property
-    def size(self) -> int:
-        return len(self.removed)
-
-    @staticmethod
-    def single(removed: tuple[int, int], added: tuple[int, int]) -> "ExchangeMove":
-        return ExchangeMove(frozenset([removed]), frozenset([added]))
+    removed: tuple[int, int]
+    added: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -51,50 +46,6 @@ class Certificate:
 class Violation:
     condition: str  # "a" | "b" | "c"
     arc: tuple[int, int]
-
-
-class MoveRejection(Exception):
-    """Move does not produce an out-branching; `reason` says why."""
-
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
-
-
-def _arc_set_to_branching(D: Digraph, arcs: set[tuple[int, int]]) -> OutBranching:
-    """Interpret an arc set as an out-branching of D, or raise MoveRejection."""
-    n = D.n
-    if len(arcs) != n - 1:
-        raise MoveRejection("wrong arc count")
-    parent = [-1] * n
-    for u, v in arcs:
-        if parent[v] != -1:
-            raise MoveRejection(f"vertex {v} has two parents")
-        parent[v] = u
-    roots = [v for v in range(n) if parent[v] == -1]
-    if len(roots) != 1:
-        raise MoveRejection("disconnected")
-    root = roots[0]
-    T = OutBranching(n, root, tuple(parent))
-    depths = T.depths()
-    if any(d < 0 for d in depths):
-        raise MoveRejection("cycle")
-    return T
-
-
-def apply_move(D: Digraph, T: OutBranching, move: ExchangeMove) -> OutBranching:
-    """Apply an exchange move; raises MoveRejection when the resulting arc
-    set is not an out-branching.  A root change is allowed."""
-    tree_arcs = T.arcs()
-    if not move.removed <= tree_arcs:
-        raise MoveRejection("removed arc not in tree")
-    if move.added & tree_arcs:
-        raise MoveRejection("added arc already in tree")
-    if not move.added <= D.arcs:
-        raise MoveRejection("added arc not in host digraph")
-    if len(move.removed) != len(move.added):
-        raise MoveRejection("removed/added size mismatch")
-    return _arc_set_to_branching(D, (tree_arcs - move.removed) | move.added)
 
 
 def check_structural_conditions(D: Digraph, T: OutBranching) -> list[Violation]:
@@ -152,6 +103,47 @@ def check_structural_conditions(D: Digraph, T: OutBranching) -> list[Violation]:
     return out
 
 
+def _improving_swap(D: Digraph, n: int, root: int, parent: Sequence[int],
+                    ch: list[list[int]]) -> Optional[tuple[int, int, tuple[int, int]]]:
+    """Core of ``_first_improving_1ae_move`` on a tree given as its root,
+    parent list and child lists: ``(p, v, added)`` for the swap of
+    (p, v) for `added`, or None.  Its choice does not depend on the
+    order within the child lists."""
+    # x lies in v's subtree iff pre[v] <= pre[x] < pre[v] + size[v]
+    pre = [0] * n
+    size = [1] * n
+    order = []
+    stack = [root]
+    for i in range(n):  # a corrupt child list leaves the stack non-empty
+        x = stack.pop()
+        pre[x] = i
+        order.append(x)
+        stack.extend(ch[x])
+    assert not stack, "child lists do not form a tree on n vertices"
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+
+    into_root = [a for a in D.in_adj[root] if ch[a]]
+    for p in range(n):
+        if len(ch[p]) != 1:
+            continue
+        v = ch[p][0]
+        lo, hi = pre[v], pre[v] + size[v]
+        added = None
+        for a in D.in_adj[v]:
+            if a != p and ch[a] and not lo <= pre[a] < hi:
+                added = (a, v)
+                break
+        for a in into_root:
+            if lo <= pre[a] < hi:
+                if added is None or (a, root) < added:
+                    added = (a, root)
+                break
+        if added is not None:
+            return p, v, added
+    return None
+
+
 def _first_improving_1ae_move(D: Digraph, T: OutBranching) -> Optional[ExchangeMove]:
     """Lexicographically smallest improving 1-exchange, or None.
 
@@ -166,41 +158,11 @@ def _first_improving_1ae_move(D: Digraph, T: OutBranching) -> Optional[ExchangeM
     increasing order and the search stops at the first p that has a
     move, returning the smaller of its least move of each kind.
     """
-    n, r = T.n, T.root
-    ch = T.children()
-    # x lies in v's subtree iff pre[v] <= pre[x] < pre[v] + size[v]
-    pre = [0] * n
-    size = [1] * n
-    order = []
-    stack = [r]
-    while stack:
-        x = stack.pop()
-        pre[x] = len(order)
-        order.append(x)
-        stack.extend(ch[x])
-    parent = T.parent
-    for x in reversed(order[1:]):
-        size[parent[x]] += size[x]
-
-    into_root = [a for a in D.in_adj[r] if ch[a]]
-    for p in range(n):
-        if len(ch[p]) != 1:
-            continue
-        v = ch[p][0]
-        lo, hi = pre[v], pre[v] + size[v]
-        added = None
-        for a in D.in_adj[v]:
-            if a != p and ch[a] and not lo <= pre[a] < hi:
-                added = (a, v)
-                break
-        for a in into_root:
-            if lo <= pre[a] < hi:
-                if added is None or (a, r) < added:
-                    added = (a, r)
-                break
-        if added is not None:
-            return ExchangeMove.single((p, v), added)
-    return None
+    found = _improving_swap(D, T.n, T.root, T.parent, T.children())
+    if found is None:
+        return None
+    p, v, added = found
+    return ExchangeMove((p, v), added)
 
 
 def is_1ae_optimal(D: Digraph, T: OutBranching) -> Certificate:
@@ -214,14 +176,30 @@ def is_1ae_optimal(D: Digraph, T: OutBranching) -> Certificate:
 def improve_to_1ae(D: Digraph, T0: OutBranching) -> OutBranching:
     """Repeatedly apply the first improving 1-exchange (lexicographic arc
     order) until none exists.  Leaf count increases each step, so at most
-    n - 2 steps are taken."""
+    n - 2 steps are taken.
+
+    The swaps are applied in place to a parent list and to child lists
+    kept across moves: the finder proves each swap valid, and it empties
+    p's child list and adds one child to a.  The tree is validated on
+    entry and once more on return."""
     require_valid(D, T0)
-    T = T0
+    n, root = T0.n, T0.root
+    parent = list(T0.parent)
+    ch = T0.children()
     while True:
-        move = _first_improving_1ae_move(D, T)
-        if move is None:
-            return T
-        T = apply_move(D, T, move)
+        found = _improving_swap(D, n, root, parent, ch)
+        if found is None:
+            break
+        p, v, (a, b) = found
+        ch[p] = []
+        ch[a].append(b)
+        parent[b] = a
+        if b != v:  # (a, root): re-root at v
+            parent[v] = -1
+            root = v
+    T = OutBranching(n, root, tuple(parent))
+    require_valid(D, T)
+    return T
 
 
 def bfs_branching(D: Digraph, root: int,
@@ -273,12 +251,14 @@ def dfs_branching(D: Digraph, root: int,
 
 
 def best_of_restarts(D: Digraph, roots: Iterable[int], starts_per_root: int,
-                     seed: int) -> OutBranching:
+                     seed: int, deadline: float | None = None) -> OutBranching:
     """Best certified 1-AE optimal branching over randomized BFS/DFS starts.
 
     Deterministic given the seed; ties broken by canonical parent tuple.
     Every root must reach all vertices, or the first start from it
-    raises ValueError.
+    raises ValueError.  With a deadline (a time.monotonic() value) the
+    clock is read between starts, so the first start always runs; past
+    the deadline BudgetExhausted carries the best tree so far.
     """
     roots = sorted(set(roots))
     if not roots:
@@ -289,6 +269,8 @@ def best_of_restarts(D: Digraph, roots: Iterable[int], starts_per_root: int,
     best_key: tuple | None = None
     for root in roots:
         for s in range(starts_per_root):
+            if deadline is not None and best is not None and time.monotonic() > deadline:
+                raise BudgetExhausted(leaf_count(best), best)
             rng = random.Random(seed * 1000003 + root * 8191 + s)
             start = bfs_branching(D, root, rng) if s % 2 == 0 else dfs_branching(D, root, rng)
             T = improve_to_1ae(D, start)

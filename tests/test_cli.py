@@ -144,6 +144,16 @@ class TestSolve:
         assert doc["status"] == "budget"
         assert 1 <= doc["lower_bound"] < 13
 
+    def test_local_budget_exhaustion(self, capsys, tmp_path):
+        # 300 restarts take well over 100 ms; the first one always runs
+        D = generate(InstanceSpec("random_strong", (("n", 150), ("pct", 5)), 1))
+        p = write_graph(tmp_path, D)
+        code, out, _ = run(capsys, "solve", "--local", "--time-budget-ms", "100", p)
+        assert code == EXIT_BUDGET
+        doc = json.loads(out)
+        assert doc["status"] == "budget"
+        assert 1 <= doc["lower_bound"] < D.n
+
     def test_malformed_graph_usage_error(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("3 1\n0 9\n")
@@ -223,6 +233,21 @@ class TestCheck:
         assert code == EXIT_NO
         assert json.loads(out)["status"] == "improvable"
 
+    @pytest.mark.parametrize("n, seed, root, expected", [
+        (12, 3, 0, '{"removed": [[10, 4]], "added": [[1, 4]]}'),
+        (8, 0, 5, '{"removed": [[2, 1]], "added": [[1, 5]]}'),  # re-roots at 1
+    ])
+    def test_1ae_violating_move_output(self, capsys, tmp_path, n, seed, root, expected):
+        from maxleaf.local_search import dfs_branching
+        D = generate(InstanceSpec("random_strong", (("n", n), ("pct", 20)), seed))
+        p = write_graph(tmp_path, D)
+        art = tmp_path / "t.json"
+        art.write_text(dfs_branching(D, root).to_json())
+        code, out, _ = run(capsys, "check", "--1ae", p, str(art))
+        assert code == EXIT_NO
+        assert out == ('{"valid": true, "status": "improvable", "violating_move": '
+                       + expected + '}\n')
+
     @pytest.fixture
     def triangle_path(self, tmp_path):
         from maxleaf.digraph import Digraph
@@ -288,16 +313,6 @@ class TestVerify:
                            "--time-budget-ms", "20000")
         assert code == EXIT_OK
         assert json.loads(out)["passed"]
-
-
-class TestBench:
-    def test_bench_reports_local_search(self, capsys):
-        code, out, _ = run(capsys, "bench", "--t", "6",
-                           "--time-budget-ms", "1.0")
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        assert doc["n"] == 37
-        assert doc["local_search_leaves"] >= 1
 
 
 def test_unknown_subcommand_is_usage(capsys):

@@ -1,15 +1,16 @@
 import hashlib
 import random
+import time
 
 import pytest
 
 from maxleaf.branching import OutBranching, leaf_count, validate
 from maxleaf.digraph import Digraph, has_out_branching
+from maxleaf.generators import gen_random_strong, gen_random_strong_min_in3
 from maxleaf.local_search import (
     Certificate,
     ExchangeMove,
-    MoveRejection,
-    apply_move,
+    _first_improving_1ae_move,
     best_of_restarts,
     bfs_branching,
     check_structural_conditions,
@@ -17,7 +18,7 @@ from maxleaf.local_search import (
     improve_to_1ae,
     is_1ae_optimal,
 )
-from maxleaf.oracles import naive_max_leaf_branching
+from maxleaf.oracles import BudgetExhausted, naive_max_leaf_branching
 
 
 def random_strong(n, seed, extra=0.25):
@@ -32,6 +33,44 @@ def random_strong(n, seed, extra=0.25):
     return Digraph.build(n, arcs)
 
 
+class MoveRejection(Exception):
+    """Move does not produce an out-branching; the message says why."""
+
+
+def _arc_set_to_branching(D, arcs):
+    """Interpret an arc set as an out-branching of D, or raise MoveRejection."""
+    n = D.n
+    if len(arcs) != n - 1:
+        raise MoveRejection("wrong arc count")
+    parent = [-1] * n
+    for u, v in arcs:
+        if parent[v] != -1:
+            raise MoveRejection(f"vertex {v} has two parents")
+        parent[v] = u
+    roots = [v for v in range(n) if parent[v] == -1]
+    if len(roots) != 1:
+        raise MoveRejection("disconnected")
+    T = OutBranching(n, roots[0], tuple(parent))
+    if any(d < 0 for d in T.depths()):
+        raise MoveRejection("cycle")
+    return T
+
+
+def apply_move(D, T, move):
+    """Oracle for the exchange: rebuild the tree from its arc set with
+    `removed` swapped for `added`, checking everything on the way;
+    raises MoveRejection when the result is not an out-branching of D.
+    A root change is allowed."""
+    tree_arcs = T.arcs()
+    if move.removed not in tree_arcs:
+        raise MoveRejection("removed arc not in tree")
+    if move.added in tree_arcs:
+        raise MoveRejection("added arc already in tree")
+    if move.added not in D.arcs:
+        raise MoveRejection("added arc not in host digraph")
+    return _arc_set_to_branching(D, (tree_arcs - {move.removed}) | {move.added})
+
+
 def exhaustive_1ae_certificate(D, T):
     """Oracle: try every (tree arc, non-tree arc) swap in lexicographic
     order and report the first one that yields more leaves."""
@@ -39,7 +78,7 @@ def exhaustive_1ae_certificate(D, T):
     non_tree = sorted(D.arcs - set(tree_arcs))
     for removed in tree_arcs:
         for added in non_tree:
-            move = ExchangeMove.single(removed, added)
+            move = ExchangeMove(removed, added)
             try:
                 if leaf_count(apply_move(D, T, move)) > leaf_count(T):
                     return Certificate("improvable", move)
@@ -87,33 +126,33 @@ class TestApplyMove:
         # path 0->1->2 plus shortcut 0->2
         D = Digraph.build(3, [(0, 1), (1, 2), (0, 2)])
         T = OutBranching(3, 0, (-1, 0, 1))
-        T2 = apply_move(D, T, ExchangeMove.single((1, 2), (0, 2)))
+        T2 = apply_move(D, T, ExchangeMove((1, 2), (0, 2)))
         assert T2.parent == (-1, 0, 0)
         assert leaf_count(T2) == 2
 
     def test_root_change_allowed(self):
         D = Digraph.build(2, [(0, 1), (1, 0)])
         T = OutBranching(2, 0, (-1, 0))
-        T2 = apply_move(D, T, ExchangeMove.single((0, 1), (1, 0)))
+        T2 = apply_move(D, T, ExchangeMove((0, 1), (1, 0)))
         assert T2.root == 1
 
     def test_rejects_cycle(self):
         D = Digraph.build(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
         T = OutBranching(4, 0, (-1, 0, 1, 2))
         with pytest.raises(MoveRejection, match="cycle|two parents"):
-            apply_move(D, T, ExchangeMove.single((0, 1), (3, 1)))
+            apply_move(D, T, ExchangeMove((0, 1), (3, 1)))
 
     def test_rejects_arc_not_in_host(self):
         D = Digraph.build(3, [(0, 1), (1, 2)])
         T = OutBranching(3, 0, (-1, 0, 1))
         with pytest.raises(MoveRejection, match="host"):
-            apply_move(D, T, ExchangeMove.single((1, 2), (0, 2)))
+            apply_move(D, T, ExchangeMove((1, 2), (0, 2)))
 
     def test_rejects_removed_not_in_tree(self):
         D = Digraph.build(3, [(0, 1), (1, 2), (0, 2)])
         T = OutBranching(3, 0, (-1, 0, 0))
         with pytest.raises(MoveRejection, match="removed"):
-            apply_move(D, T, ExchangeMove.single((1, 2), (1, 2)))
+            apply_move(D, T, ExchangeMove((1, 2), (1, 2)))
 
 
 class TestCertificate:
@@ -122,7 +161,7 @@ class TestCertificate:
         T = OutBranching(3, 0, (-1, 0, 1))
         cert = is_1ae_optimal(D, T)
         assert cert.status == "improvable"
-        assert cert.violating_move == ExchangeMove.single((1, 2), (0, 2))
+        assert cert.violating_move == ExchangeMove((1, 2), (0, 2))
 
     def test_star_optimal(self):
         D = Digraph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
@@ -148,7 +187,7 @@ class TestCertificate:
             assert cert == exhaustive_1ae_certificate(D, T), (sorted(D.arcs), T)
             if cert.status == "improvable":
                 improvable += 1
-                (added,) = cert.violating_move.added
+                added = cert.violating_move.added
                 rerooted += added[1] == T.root
         # the corpus exercises both move kinds, re-rooting included
         assert improvable >= 400 and rerooted >= 200, (improvable, rerooted)
@@ -167,7 +206,7 @@ class TestCertificate:
                 if cert.status == "optimal":
                     break
                 steps += 1
-                (added,) = cert.violating_move.added
+                added = cert.violating_move.added
                 rerooted += added[1] == T.root
                 T = apply_move(D, T, cert.violating_move)
             assert improve_to_1ae(D, T0) == T
@@ -193,6 +232,27 @@ class TestImprove:
         bogus = OutBranching(3, 0, (-1, 0, 0))
         with pytest.raises(ValueError):
             improve_to_1ae(D, bogus)
+
+    def test_matches_reference_descent_on_large_digraphs(self):
+        # the in-place descent against the finder plus the rebuilding
+        # apply_move, one move at a time, n 30-200 from three kinds of start
+        moves = rerooted = 0
+        for i in range(48):
+            n = (30, 50, 80, 120, 160, 200)[i % 6]
+            D = (gen_random_strong(n, 700 + i, (3, 5, 10)[i % 3]) if i % 2 == 0
+                 else gen_random_strong_min_in3(n, 700 + i))
+            rng = random.Random(i)
+            for build in (bfs_branching, dfs_branching, deep_dfs_branching):
+                T0 = T = build(D, rng.randrange(n), rng)
+                while True:
+                    move = _first_improving_1ae_move(D, T)
+                    if move is None:
+                        break
+                    moves += 1
+                    rerooted += move.added[1] == T.root
+                    T = apply_move(D, T, move)
+                assert improve_to_1ae(D, T0) == T, (i, build.__name__)
+        assert moves >= 2500 and rerooted >= 250, (moves, rerooted)
 
 
 class TestStructuralConditions:
@@ -285,6 +345,19 @@ class TestBestOfRestarts:
         D = Digraph.build(2, [(0, 1), (1, 0)])
         with pytest.raises(ValueError, match="starts_per_root"):
             best_of_restarts(D, [0], 0, seed=0)
+
+    def test_deadline_in_reach_changes_nothing(self):
+        D = random_strong(11, 9)
+        assert (best_of_restarts(D, range(11), 2, seed=5, deadline=time.monotonic() + 600)
+                == best_of_restarts(D, range(11), 2, seed=5))
+
+    def test_past_deadline_stops_after_first_start(self):
+        D = random_strong(11, 9)
+        with pytest.raises(BudgetExhausted) as info:
+            best_of_restarts(D, range(11), 2, seed=5, deadline=time.monotonic() - 1)
+        first = best_of_restarts(D, [0], 1, seed=5)
+        assert info.value.witness == first
+        assert info.value.best_value == leaf_count(first)
 
     def test_golden_results(self):
         # SHA-256 of the results on a seeded corpus, recorded with the
