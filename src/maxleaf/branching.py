@@ -77,9 +77,9 @@ class OutBranching:
     @staticmethod
     def from_json(text: str, n: int) -> "OutBranching":
         """Parse ``{"root": r, "parent": {"v": p, ...}}`` over vertices
-        0..n-1; raises FormatError when the document does not fit that
-        schema.  Whether the arcs form an out-branching of a host digraph
-        is left to ``validate``."""
+        0..n-1, each key the decimal form ``str(v)``; raises FormatError
+        when the document does not fit that schema.  Whether the arcs form
+        an out-branching of a host digraph is left to ``validate``."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
@@ -92,6 +92,8 @@ class OutBranching:
         for key, p in doc["parent"].items():
             try:
                 v = int(key)
+                if key != str(v):  # no padding, '+', leading zero or non-ASCII digit
+                    raise ValueError
             except ValueError:
                 raise FormatError(f"parent key {key!r} is not a vertex") from None
             v = _vertex(v, n, "parent key")

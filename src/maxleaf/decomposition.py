@@ -43,7 +43,7 @@ class PathDecomposition:
         return json.dumps({"bags": [sorted(b) for b in self.bags]})
 
     def to_text(self) -> str:
-        return "\n".join(" ".join(str(v) for v in sorted(b)) for b in self.bags) + "\n"
+        return "".join(" ".join(str(v) for v in sorted(b)) + "\n" for b in self.bags)
 
     @staticmethod
     def from_json(text: str) -> "PathDecomposition":
@@ -63,16 +63,16 @@ class PathDecomposition:
 
     @staticmethod
     def from_text(text: str) -> "PathDecomposition":
-        """One bag per non-blank line, vertices separated by whitespace;
-        raises FormatError on a token that is not an integer."""
+        """One bag per line, vertices separated by whitespace, so a blank
+        line is an empty bag; raises FormatError on a token that is not an
+        integer."""
         bags = []
         for lineno, line in enumerate(text.splitlines(), start=1):
-            if line.strip():
-                try:
-                    bags.append(frozenset(int(x) for x in line.split()))
-                except ValueError:
-                    raise FormatError(f"non-integer vertex in bag {line!r}",
-                                      lineno) from None
+            try:
+                bags.append(frozenset(int(x) for x in line.split()))
+            except ValueError:
+                raise FormatError(f"non-integer vertex in bag {line!r}",
+                                  lineno) from None
         return PathDecomposition(tuple(bags))
 
 
@@ -315,20 +315,17 @@ class _Tree:
 class BetaNode:
     tree: _Tree
     layer: int
-    separator: Optional[tuple[int, int]] = None  # (v, clone of v)
+    separator: Optional[int] = None  # original id of the split vertex
     children: tuple["BetaNode", "BetaNode"] | None = None
 
 
 @dataclass
 class BetaTree:
     root_node: BetaNode
-    clone_of: dict[int, int]  # clone id -> id it copies (possibly a clone)
-    n_original: int
+    clone_of: dict[int, int]  # clone id -> the original vertex it copies
 
     def orig(self, v: int) -> int:
-        while v in self.clone_of:
-            v = self.clone_of[v]
-        return v
+        return self.clone_of.get(v, v)
 
     @property
     def layers(self) -> int:
@@ -502,13 +499,13 @@ def build_beta_tree(D: Digraph, T: OutBranching) -> BetaTree:
         if tree.leaf_weight() <= 1 or len(tree.vertices()) <= 2:
             return BetaNode(tree, layer)
         first, second, v, clone = beta_split(tree, next_id[0], diags)
-        clone_of[clone] = v
+        clone_of[clone] = clone_of.get(v, v)
         next_id[0] += 1
-        node = BetaNode(tree, layer, (v, clone))
+        node = BetaNode(tree, layer, clone_of[clone])
         node.children = (recurse(first, layer + 1), recurse(second, layer + 1))
         return node
 
-    bt = BetaTree(recurse(root_tree, 1), clone_of, D.n)
+    bt = BetaTree(recurse(root_tree, 1), clone_of)
 
     # original ids across leaf paths partition V(D); clones are the extras
     seen: set[int] = set()
@@ -583,27 +580,22 @@ def decompose_strong(D: Digraph, k: int,
     if t > layer_bound(k):
         diags.append(f"layer count {t} exceeds {layer_bound(k)}")
 
-    def by_orig(ids) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for x in ids:
-            out.setdefault(bt.orig(x), []).append(x)
-        return out
-
     def pd_for_leaf(node: BetaNode) -> PathDecomposition:
-        order = _path_order(node.tree)
-        W_local = {u for u in order if bt.orig(u) in W_full}
+        order = [bt.orig(u) for u in _path_order(node.tree)]
+        on_path = set(order)
+        W_local = on_path & W_full
         path_arcs = set(zip(order, order[1:]))
-        ids = by_orig(order)
         # adjacency of the stripped digraph R
         adj: dict[int, set[int]] = {u: set() for u in order}
         for a in order:
-            for w in D.out_adj[bt.orig(a)]:
-                for b in ids.get(w, ()):
-                    touches_w = a in W_local or b in W_local
-                    if touches_w and (a, b) not in path_arcs:
-                        continue
-                    adj[a].add(b)
-                    adj[b].add(a)
+            for b in D.out_adj[a]:
+                if b not in on_path:
+                    continue
+                touches_w = a in W_local or b in W_local
+                if touches_w and (a, b) not in path_arcs:
+                    continue
+                adj[a].add(b)
+                adj[b].add(a)
         pd = _ordering_to_pd(order, lambda u: adj[u])
         # the ordering's boundary (the most vertices up to a position with
         # a neighbour past it) is the width of the decomposition it induces
@@ -611,67 +603,39 @@ def decompose_strong(D: Digraph, k: int,
         if boundary > k:
             diags.append(
                 f"stripped path ordering boundary {boundary} exceeds k={k}")
-        bags = tuple(b | frozenset(W_local) for b in pd.bags)
+        bags = tuple(b | W_local for b in pd.bags)
         out = PathDecomposition(bags)
         if out.width >= 5 * k:
             diags.append(f"leaf path width {out.width} not below 5k = {5 * k}")
         return out
 
-    # combine: every leaf path's bags, the clones in them renamed back to
-    # the vertex they copy, unioned with the glue of each split above the
-    # leaf.  A post-order pass finds each split's glue; a pre-order pass
-    # then unions every bag with all of its glue at once.
-    leaf_pd: dict[int, PathDecomposition] = {}
-    glue_of: dict[int, frozenset[int]] = {}
+    combined: list[frozenset[int]] = []
 
-    def find_glue(node: BetaNode) -> set[int]:
-        """Decompose the leaf paths below node and record the glue of each
-        split there; returns the ids in node's bags, clones renamed."""
+    def combine(node: BetaNode, inherited: frozenset[int]) -> None:
+        """Append the bags of the leaf paths below node, each unioned with
+        inherited, the glue of the splits above node.  A split's glue is
+        its separator plus Y, the vertices on one side with an in-neighbour
+        on the other; its diagnostic follows those of its children."""
         if node.children is None:
-            pd = leaf_pd[id(node)] = pd_for_leaf(node)
-            return set().union(*pd.bags)
-        lset = find_glue(node.children[0])
-        rset = find_glue(node.children[1])
-        v, clone = node.separator
-        if clone in rset:
-            rset.remove(clone)
-            rset.add(v)
-        lverts = by_orig(lset)
-        rverts = by_orig(rset)
-        # Y: every id on one side whose original vertex has an in-neighbour
-        # among the other side's; walk the arcs of the smaller side
-        small, large = sorted((lverts, rverts), key=len)
+            combined.extend(b | inherited for b in pd_for_leaf(node).bags)
+            return
+        v = node.separator
+        sides = [{bt.orig(u) for u in c.tree.vertices()} for c in node.children]
+        # Y is symmetric in the two sides: walk the arcs of the smaller one
+        small, large = sorted(sides, key=len)
         Y: set[int] = set()
-        for o, here in small.items():
-            for w in D.out_adj[o]:
-                Y.update(large.get(w, ()))
-            if any(w in large for w in D.in_adj[o]):
-                Y.update(here)
+        for u in small:
+            Y.update(w for w in D.out_adj[u] if w in large)
+            if not large.isdisjoint(D.in_adj[u]):
+                Y.add(u)
+        inherited = inherited | Y | {v}
+        combine(node.children[0], inherited)
+        combine(node.children[1], inherited)
         if len(Y - {v}) > 2 * k:
             diags.append(
                 f"cross-neighbor set size {len(Y)} exceeds 2k = {2 * k}")
-        glue = glue_of[id(node)] = frozenset(Y | {v})
-        return lset | rset | glue
 
-    def combine(node: BetaNode, rename: dict[int, int],
-                inherited: frozenset[int], bags: list[frozenset[int]]) -> None:
-        """Append node's final bags; rename maps ids below node to their
-        final ids, and inherited is the renamed glue of the splits above."""
-        if node.children is None:
-            for b in leaf_pd[id(node)].bags:
-                if not rename.keys().isdisjoint(b):
-                    b = frozenset(rename.get(x, x) for x in b)
-                bags.append(b | inherited)
-            return
-        inherited = inherited | {rename.get(x, x) for x in glue_of[id(node)]}
-        v, clone = node.separator
-        combine(node.children[0], rename, inherited, bags)
-        combine(node.children[1], {**rename, clone: rename.get(v, v)},
-                inherited, bags)
-
-    find_glue(bt.root_node)
-    combined: list[frozenset[int]] = []
-    combine(bt.root_node, {}, frozenset(), combined)
+    combine(bt.root_node, frozenset())
     pd = tighten(underlying_graph(D), PathDecomposition(tuple(combined)))
     if pd.width > 2 * (t + 1.5) * k:
         diags.append(

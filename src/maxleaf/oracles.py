@@ -12,7 +12,13 @@ from itertools import product
 from typing import Optional
 
 from .branching import OutBranching, leaf_count, validate
-from .digraph import Digraph, Graph, has_out_branching, reachable_subdigraph
+from .digraph import (
+    Digraph,
+    Graph,
+    has_out_branching,
+    reachable_subdigraph,
+    strong_components,
+)
 
 
 class BudgetExhausted(Exception):
@@ -256,12 +262,21 @@ def exact_max_leaf_tree(D: Digraph, time_budget_ms: float = 60_000.0) -> int:
     """Exact maximum leaf count over out-trees of D (need not span).
 
     Uses the identity: the optimum equals the max over v of the spanning
-    optimum on the subdigraph reachable from v.
+    optimum on the subdigraph reachable from v, solved for one v per
+    strong component (all vertices of a component reach the same set).
+    The time budget bounds the whole call: each solve gets what is left.
     """
+    deadline = time.monotonic() + time_budget_ms / 1000.0
+    comp = strong_components(D).component_id
+    seen: set[int] = set()
     best = 0
     for v in range(D.n):
+        if comp[v] in seen:
+            continue
+        seen.add(comp[v])
         sub, _ = reachable_subdigraph(D, v)
-        val, _ = exact_max_leaf_branching(sub, time_budget_ms)
+        val, _ = exact_max_leaf_branching(
+            sub, (deadline - time.monotonic()) * 1000.0)
         best = max(best, val)
     return best
 

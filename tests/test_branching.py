@@ -6,7 +6,7 @@ from maxleaf.branching import (
     leaf_count,
     validate,
 )
-from maxleaf.digraph import Digraph
+from maxleaf.digraph import Digraph, FormatError
 
 
 def path_branching(n):
@@ -101,6 +101,12 @@ class TestSerialization:
         T = OutBranching.from_parent_map(4, 2, {0: 2, 1: 0, 3: 2})
         back = OutBranching.from_json(T.to_json(), 4)
         assert back == T
+
+    @pytest.mark.parametrize("key", [" 1", "\u0663", "01", "+1", "-0"])
+    def test_parent_key_must_be_decimal_form(self, key):
+        # int() accepts each of these as a vertex; only str(v) is a key
+        with pytest.raises(FormatError, match="parent key"):
+            OutBranching.from_json('{"root": 0, "parent": {"%s": 0}}' % key, 4)
 
 
 def test_depth_increases_along_arcs():

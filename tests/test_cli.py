@@ -209,6 +209,15 @@ class TestCheck:
         assert code == EXIT_USAGE
         assert "axiom" in err
 
+    def test_pd_blank_line_is_empty_bag(self, capsys, tmp_path):
+        from maxleaf.digraph import Digraph
+        p = write_graph(tmp_path, Digraph.build(1, []))
+        art = tmp_path / "gap.pd"
+        art.write_text("0\n\n0\n")
+        code, _, err = run(capsys, "check", "--pd", p, str(art))
+        assert code == EXIT_USAGE
+        assert "axiom 3" in err
+
     def test_branching_and_1ae(self, capsys, k4_path, tmp_path):
         _, out, _ = run(capsys, "solve", "--local", k4_path)
         wit = json.loads(out)["witness"]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from maxleaf.decomposition import (
     validate_pd,
 )
 from maxleaf.digraph import Digraph, Graph, underlying_graph
+from maxleaf.generators import gen_random_strong
 from maxleaf.local_search import bfs_branching, improve_to_1ae
 from maxleaf.oracles import exact_vertex_separation
 
@@ -210,7 +212,7 @@ class TestBetaTree:
         bt = build_beta_tree(D, T)
         for c in bt.clone_of:
             assert c >= D.n
-            assert 0 <= bt.orig(c) < D.n
+            assert 0 <= bt.clone_of[c] == bt.orig(c) < D.n
 
 
 class TestLayerBound:
@@ -250,6 +252,24 @@ class TestDecomposeStrong:
                     assert out.layers <= layer_bound(k)
                     assert out.decomposition.width <= 2 * (out.layers + 1.5) * k
                     assert out.diagnostics == ()
+
+    def test_stripped_path_diagnostic(self):
+        # a branching digraph outside the supported class, so the premises
+        # of the width bounds fail and a diagnostic reports it
+        D = Digraph.build(6, [(0, 4), (1, 3), (1, 4), (1, 5), (2, 1), (3, 2),
+                              (4, 3)])
+        out = decompose_strong(D, 2, assume_premise=True)
+        assert out.kind == "decomposition"
+        assert validate_pd(underlying_graph(D), out.decomposition) is None
+        assert out.diagnostics == (
+            "stripped path ordering boundary 3 exceeds k=2",)
+
+    def test_n1000_decomposition_is_pinned(self):
+        out = decompose_strong(gen_random_strong(1000, 3, 10), 955)
+        pd = out.decomposition
+        assert hashlib.sha256(pd.to_json().encode()).hexdigest() == (
+            "5a4e3ff9ca695c12cc331eaaa2ef327d50678d3dc360464d6341f678ef42b86e")
+        assert (pd.width, out.layers, out.diagnostics) == (999, 14, ())
 
     def test_class_L_instance_accepted(self):
         # two strong components, every sink-component vertex has an

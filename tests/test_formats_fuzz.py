@@ -9,8 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maxleaf.branching import OutBranching
-from maxleaf.decomposition import PathDecomposition
-from maxleaf.digraph import Digraph, FormatError, parse, serialize, serialize_json
+from maxleaf.decomposition import PathDecomposition, validate_pd
+from maxleaf.digraph import (
+    Digraph,
+    FormatError,
+    Graph,
+    parse,
+    serialize,
+    serialize_json,
+)
 
 FUZZ = settings(max_examples=500, deadline=None, derandomize=True)
 
@@ -84,9 +91,18 @@ def test_branching_round_trips(T):
 def test_decomposition_round_trips(bags):
     P = PathDecomposition(tuple(bags))
     assert PathDecomposition.from_json(P.to_json()) == P
-    # the text form writes an empty bag as a blank line, which it skips
-    P = PathDecomposition(tuple(b for b in bags if b))
     assert PathDecomposition.from_text(P.to_text()) == P
+
+
+def test_empty_bag_survives_text_round_trip():
+    # a blank line is an empty bag, so vertex 0 stays split in two runs
+    P = PathDecomposition((frozenset({0}), frozenset(), frozenset({0})))
+    assert P.to_text() == "0\n\n0\n"
+    back = PathDecomposition.from_text(P.to_text())
+    assert back == P
+    assert validate_pd(Graph(1, frozenset()), back) == \
+        "axiom 3: vertex 0 occurs non-contiguously"
+    assert PathDecomposition.from_text("") == PathDecomposition(())
 
 
 @pytest.mark.parametrize("name", sorted(PARSERS))

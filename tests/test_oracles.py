@@ -3,6 +3,7 @@ import random
 import pytest
 
 from maxleaf.branching import leaf_count, validate
+from maxleaf import oracles
 from maxleaf.digraph import Digraph, Graph, underlying_graph
 from maxleaf.oracles import (
     BudgetExhausted,
@@ -94,6 +95,42 @@ class TestMaxLeafTree:
         D = Digraph.build(4, [(i, (i + 1) % 4) for i in range(4)])
         vb, _ = exact_max_leaf_branching(D, 10_000)
         assert exact_max_leaf_tree(D, 10_000) == vb
+
+    def test_one_solve_per_strong_component(self, monkeypatch):
+        calls = []
+        solve = oracles.exact_max_leaf_branching
+
+        def counted(D, time_budget_ms):
+            calls.append(D.n)
+            return solve(D, time_budget_ms)
+
+        monkeypatch.setattr(oracles, "exact_max_leaf_branching", counted)
+        D = Digraph.build(14, [(i, (i + 1) % 14) for i in range(14)]
+                          + [(0, 7), (3, 10), (5, 12)])
+        assert exact_max_leaf_tree(D, 10_000) == solve(D, 10_000)[0]
+        assert calls == [14]
+        # 0 -> 1 <-> 2 -> 3: three components, reaching 4, 3 and 1 vertices
+        calls.clear()
+        D = Digraph.build(4, [(0, 1), (1, 2), (2, 1), (2, 3)])
+        assert exact_max_leaf_tree(D, 10_000) == 2
+        assert calls == [4, 3, 1]
+
+    def test_budget_bounds_the_whole_call(self, monkeypatch):
+        # every solve takes 3 s of a fake clock, so the budget of 10 s is
+        # shared out as 10, 7 and 4 s, not given to each solve in full
+        clock = [100.0]
+        budgets = []
+
+        def solve(D, time_budget_ms):
+            budgets.append(time_budget_ms)
+            clock[0] += 3.0
+            return 0, None
+
+        monkeypatch.setattr(oracles.time, "monotonic", lambda: clock[0])
+        monkeypatch.setattr(oracles, "exact_max_leaf_branching", solve)
+        D = Digraph.build(3, [(0, 1), (1, 2)])
+        exact_max_leaf_tree(D, 10_000)
+        assert budgets == [10_000, 7_000, 4_000]
 
 
 def ugraph(n, edges):
