@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .digraph import Digraph, FormatError
+from .digraph import Digraph, FormatError, int_token
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,7 @@ class OutBranching:
         parent: dict[int, int] = {}
         for key, p in doc["parent"].items():
             try:
-                v = int(key)
-                if key != str(v):  # no padding, '+', leading zero or non-ASCII digit
-                    raise ValueError
+                v = int_token(key)
             except ValueError:
                 raise FormatError(f"parent key {key!r} is not a vertex") from None
             v = _vertex(v, n, "parent key")

@@ -25,14 +25,8 @@ from .decomposition import (
 from .digraph import Digraph, underlying_graph
 from .fpt import decide_k_dmlob
 from .generators import InstanceSpec, generate
-from .harness import (
-    Report,
-    prune_to_in_degree_2,
-    verify_bound_theorem2,
-    verify_lemma2_structure,
-    verify_widths,
-)
-from .local_search import best_of_restarts, improve_to_1ae, is_1ae_optimal, bfs_branching
+from .harness import verify_bound_theorem2, verify_lemma2, verify_widths
+from .local_search import best_of_restarts, is_1ae_optimal
 from .oracles import BudgetExhausted, exact_max_leaf_branching
 
 EXIT_OK = 0
@@ -225,49 +219,34 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _theorem2_specs(args) -> list[InstanceSpec]:
+def _verify_specs(args) -> list[InstanceSpec]:
+    """The one spec that --family and --params name, else the campaign's
+    sweep of --count seeds with n spread over --n-min..--n-max."""
+    if args.family and args.params:
+        params = tuple((k, int(v)) for k, v in
+                       (kv.split("=") for kv in args.params.split(",") if kv))
+        return [InstanceSpec(args.family, params, args.seed)]
     specs = []
     for i in range(args.count):
         n = args.n_min + (args.n_max - args.n_min) * i // max(args.count - 1, 1)
-        specs.append(InstanceSpec("random_strong_min_in3",
-                                  (("n", max(n, 4)),), args.seed + i))
+        family, params = {  # lemma2 runs every instance at the least n
+            "theorem2": ("random_strong_min_in3", (("n", max(n, 4)),)),
+            "widths": ("random_strong", (("n", n), ("pct", 10))),
+            "lemma2": ("random_strong_min_in3", (("n", max(args.n_min, 6)),)),
+        }[args.campaign]
+        specs.append(InstanceSpec(family, params, args.seed + i))
     return specs
 
 
 def _cmd_verify(args) -> int:
     budget = args.time_budget_ms if args.time_budget_ms is not None else default_budget_ms()
+    specs = _verify_specs(args)
     if args.campaign == "theorem2":
-        if args.family and args.params:
-            params = tuple(
-                (kv.split("=")[0], int(kv.split("=")[1]))
-                for kv in args.params.split(",") if kv)
-            specs = [InstanceSpec(args.family, params, args.seed)]
-        else:
-            specs = _theorem2_specs(args)
         report = verify_bound_theorem2(specs, budget)
     elif args.campaign == "widths":
-        specs = [InstanceSpec("random_strong",
-                              (("n", args.n_min + (args.n_max - args.n_min)
-                                * i // max(args.count - 1, 1)), ("pct", 10)),
-                              args.seed + i)
-                 for i in range(args.count)]
         report = verify_widths(specs, [args.k])
-    else:  # lemma2
-        report = Report("lemma2")
-        for i in range(args.count):
-            n = max(args.n_min, 6)
-            spec = InstanceSpec("random_strong_min_in3", (("n", n),),
-                                args.seed + i)
-            D = generate(spec)
-            _, roots = digraph.has_out_branching(D)
-            T = improve_to_1ae(D, bfs_branching(D, min(roots)))
-            from .branching import classify
-            paths = classify(T).link_paths
-            longest = max(paths, key=len, default=())
-            D2 = prune_to_in_degree_2(D, T, longest)
-            T2 = improve_to_1ae(D2, T)
-            sub = verify_lemma2_structure(D2, T2, budget)
-            report.records.extend(sub.records)
+    else:
+        report = verify_lemma2(specs, budget)
 
     if args.out:
         with open(args.out + ".csv", "w", encoding="utf-8") as f:

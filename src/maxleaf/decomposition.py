@@ -23,6 +23,7 @@ from .digraph import (
     Graph,
     has_out_branching,
     in_class_L,
+    int_token,
     is_acyclic,
     is_strongly_connected,
     underlying_graph,
@@ -65,11 +66,11 @@ class PathDecomposition:
     def from_text(text: str) -> "PathDecomposition":
         """One bag per line, vertices separated by whitespace, so a blank
         line is an empty bag; raises FormatError on a token that is not an
-        integer."""
+        integer written as ``str(v)``."""
         bags = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             try:
-                bags.append(frozenset(int(x) for x in line.split()))
+                bags.append(frozenset(int_token(x) for x in line.split()))
             except ValueError:
                 raise FormatError(f"non-integer vertex in bag {line!r}",
                                   lineno) from None
@@ -323,6 +324,7 @@ class BetaNode:
 class BetaTree:
     root_node: BetaNode
     clone_of: dict[int, int]  # clone id -> the original vertex it copies
+    diagnostics: list[str]    # split balances outside the case bounds
 
     def orig(self, v: int) -> int:
         return self.clone_of.get(v, v)
@@ -505,7 +507,7 @@ def build_beta_tree(D: Digraph, T: OutBranching) -> BetaTree:
         node.children = (recurse(first, layer + 1), recurse(second, layer + 1))
         return node
 
-    bt = BetaTree(recurse(root_tree, 1), clone_of)
+    bt = BetaTree(recurse(root_tree, 1), clone_of, diags)
 
     # original ids across leaf paths partition V(D); clones are the extras
     seen: set[int] = set()
@@ -579,6 +581,7 @@ def decompose_strong(D: Digraph, k: int,
     t = bt.layers
     if t > layer_bound(k):
         diags.append(f"layer count {t} exceeds {layer_bound(k)}")
+    diags.extend(bt.diagnostics)
 
     def pd_for_leaf(node: BetaNode) -> PathDecomposition:
         order = [bt.orig(u) for u in _path_order(node.tree)]

@@ -124,6 +124,15 @@ def _parse_json(text: str) -> Digraph:
     return Digraph.build(n, arcs)
 
 
+def int_token(tok: str) -> int:
+    """The integer a text token spells as ``str(v)``; raises ValueError on
+    any other form (padding, '+', '_', a leading zero, a non-ASCII digit)."""
+    v = int(tok)
+    if tok != str(v):
+        raise ValueError(f"not a canonical integer: {tok!r}")
+    return v
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -149,7 +158,7 @@ def _parse_edge_list(text: str) -> Digraph:
     if len(header) != 2:
         raise FormatError(f"header must be 'n m', got {lines[0]!r}", 1)
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = int_token(header[0]), int_token(header[1])
     except ValueError:
         raise FormatError(f"non-integer header {lines[0]!r}", 1) from None
     if n < 0 or m < 0:
@@ -164,7 +173,7 @@ def _parse_edge_list(text: str) -> Digraph:
         if len(parts) != 2:
             raise FormatError(f"expected 'u v', got {line!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = int_token(parts[0]), int_token(parts[1])
         except ValueError:
             raise FormatError(f"non-integer arc {line!r}", lineno) from None
         _check_arc(u, v, n, seen, lineno)

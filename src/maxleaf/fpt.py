@@ -358,10 +358,8 @@ def decide_k_dmlob(D: Digraph, k: int, assume_supported: bool = False,
     else:
         return Decision("unsupported", k)
 
-    if outcome.witness is not None:
-        T = outcome.witness
-        return Decision("yes", k, leaves=leaf_count(T), witness=T,
-                        method="decomposition")
+    # both decompositions descend from bfs_branching(D, min(roots)), as above
+    assert outcome.witness is None
 
     pd = outcome.decomposition
     lb = leaf_count(best)

@@ -12,9 +12,9 @@ from typing import Optional, Sequence
 
 from .branching import OutBranching, classify, leaf_count
 from .decomposition import decompose_strong, validate_pd, layer_bound
-from .digraph import Digraph, is_strongly_connected, underlying_graph
+from .digraph import Digraph, has_out_branching, is_strongly_connected, underlying_graph
 from .generators import InstanceSpec, generate
-from .local_search import best_of_restarts, is_1ae_optimal
+from .local_search import best_of_restarts, bfs_branching, improve_to_1ae, is_1ae_optimal
 from .oracles import BudgetExhausted, exact_max_leaf_branching, exact_max_leaf_tree
 
 
@@ -40,11 +40,14 @@ class Record:
     width: Optional[int] = None
     layers: Optional[int] = None
     detail: str = ""
+    k: Optional[int] = None  # the target leaves of a widths record
 
-    def repro_command(self) -> str:
-        return (f"maxleaf verify --campaign {self.check} "
+    def repro_command(self, campaign: str) -> str:
+        """The `maxleaf verify` command that reruns this record."""
+        k = "" if self.k is None else f" --k {self.k}"
+        return (f"maxleaf verify --campaign {campaign} "
                 f"--family {self.family} --params '{self.params}' "
-                f"--seed {self.seed}")
+                f"--seed {self.seed}{k}")
 
     def row(self) -> list:
         return [self.family, self.params, self.seed, self.n, self.m,
@@ -78,9 +81,20 @@ class Report:
             "campaign": self.campaign,
             "passed": self.passed,
             "records": [dict(zip(CSV_COLUMNS, r.row()))
-                        | {"repro": r.repro_command()}
+                        | {"repro": r.repro_command(self.campaign)}
                         for r in self.records],
         }, indent=2)
+
+
+def _params(spec: InstanceSpec) -> str:
+    """The params as `verify --params` reads them: ``n=8,pct=10``."""
+    return ",".join(f"{k}={v}" for k, v in spec.params)
+
+
+def _record(spec: InstanceSpec, D: Digraph, check: str) -> Record:
+    """A SKIP record of one check on the digraph that spec generates."""
+    return Record(spec.label(), spec.family, _params(spec), spec.seed,
+                  D.n, D.m, check, "SKIP")
 
 
 def cube_root_bound(n: int) -> float:
@@ -97,9 +111,7 @@ def verify_bound_theorem2(specs: Sequence[InstanceSpec],
     report = Report("theorem2")
     for spec in specs:
         D = generate(spec)
-        rec = Record(spec.label(), spec.family,
-                     ",".join(f"{k}={v}" for k, v in spec.params),
-                     spec.seed, D.n, D.m, "theorem2", "SKIP")
+        rec = _record(spec, D, "theorem2")
         eligible = is_strongly_connected(D) and (
             D.min_in_degree() >= 3
             or (D.is_oriented() and D.min_in_degree() >= 2))
@@ -220,6 +232,26 @@ def verify_lemma2_structure(D: Digraph, T: OutBranching,
     return report
 
 
+def verify_lemma2(specs: Sequence[InstanceSpec],
+                  time_budget_ms: float = 60_000.0) -> Report:
+    """The lemma-2 checks on each generated digraph, pruned to in-degree
+    2 around the longest link path of its 1-AE descent from the BFS
+    branching at its least root, then descended again."""
+    report = Report("lemma2")
+    for spec in specs:
+        D = generate(spec)
+        _, roots = has_out_branching(D)
+        T = improve_to_1ae(D, bfs_branching(D, min(roots)))
+        longest = max(classify(T).link_paths, key=len, default=())
+        D2 = prune_to_in_degree_2(D, T, longest)
+        for r in verify_lemma2_structure(D2, improve_to_1ae(D2, T),
+                                         time_budget_ms).records:
+            r.spec_label, r.family, r.params, r.seed = (
+                spec.label(), spec.family, _params(spec), spec.seed)
+            report.records.append(r)
+    return report
+
+
 def _longest_path_length(arcs: list[tuple[int, int]]) -> int:
     adj: dict[int, list[int]] = {}
     for u, v in arcs:
@@ -245,9 +277,8 @@ def verify_widths(specs: Sequence[InstanceSpec], k_values: Sequence[int]) -> Rep
         D = generate(spec)
         UN = underlying_graph(D)
         for k in k_values:
-            rec = Record(spec.label(), spec.family,
-                         ",".join(f"{k_}={v}" for k_, v in spec.params),
-                         spec.seed, D.n, D.m, "widths", "SKIP")
+            rec = _record(spec, D, "widths")
+            rec.k = k
             out = decompose_strong(D, k)
             if out.witness is not None:
                 rec.status = "PASS"

@@ -6,6 +6,7 @@ out-tree values, and exact pathwidth via the vertex separation DP.
 """
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -93,10 +94,6 @@ def exact_max_leaf_branching(
     if D.n == 1:
         return 0, OutBranching(1, 0, (-1,))
 
-    import sys
-
-    if sys.getrecursionlimit() < 4 * (D.n + D.m) + 100:
-        sys.setrecursionlimit(4 * (D.n + D.m) + 100)
     deadline = time.monotonic() + time_budget_ms / 1000.0
     best = -1
     best_T: Optional[OutBranching] = None
@@ -111,146 +108,128 @@ def exact_max_leaf_branching(
         out_mask[a] |= 1 << b
         in_mask[b] |= 1 << a
     INFEASIBLE = -(10 ** 9)
+    banned_in = [0] * n   # banned_in[v]: parents excluded for v
+    banned_out = [0] * n  # mirror, child side
+    # parent[v] is written when v is attached; v is attached at most once
+    # on a search path, so a spanning node reads only its own path's entries
+    parent = [-1] * n
 
-    for root in sorted(roots):
-        parent = [-1] * n
-        children = [0] * n
-        banned_in = [0] * n   # banned_in[v]: parents excluded for v
-        banned_out = [0] * n  # mirror, child side
-        st = {"attached": 1 << root, "internal": 0}
-
-        def take(u: int, v: int, trail: list) -> None:
-            parent[v] = u
-            children[u] += 1
-            st["attached"] |= 1 << v
-            newly_internal = children[u] == 1
-            if newly_internal:
-                st["internal"] |= 1 << u
-            trail.append((u, v, newly_internal))
-
-        def undo(trail: list) -> None:
-            for u, v, newly_internal in reversed(trail):
-                parent[v] = -1
-                children[u] -= 1
-                st["attached"] &= ~(1 << v)
-                if newly_internal:
-                    st["internal"] &= ~(1 << u)
-
-        def propagate(trail: list) -> bool:
-            """Attach vertices with a unique surviving parent candidate."""
-            changed = True
-            while changed:
-                changed = False
-                um = FULL & ~st["attached"]
-                while um:
-                    v = (um & -um).bit_length() - 1
-                    um &= um - 1
-                    avail = in_mask[v] & ~banned_in[v]
-                    if avail == 0:
-                        return False
-                    if avail & (avail - 1) == 0 and st["attached"] >> (
-                            avail.bit_length() - 1) & 1:
-                        take(avail.bit_length() - 1, v, trail)
-                        changed = True
-            return True
-
-        def bound() -> int:
-            attached, internal = st["attached"], st["internal"]
-            U = FULL & ~attached
-            if U == 0:
-                return n - max(internal.bit_count(), 1)
-            demand = U.bit_count()
-            im = internal
-            while im and demand > 0:
-                u = (im & -im).bit_length() - 1
-                im &= im - 1
-                demand -= (out_mask[u] & U & ~banned_out[u]).bit_count()
-            extra = 0
-            if demand > 0:
-                caps = []
-                om = FULL & ~internal
-                while om:
-                    u = (om & -om).bit_length() - 1
-                    om &= om - 1
-                    c = (out_mask[u] & U & ~banned_out[u]).bit_count()
-                    if c:
-                        caps.append(c)
-                caps.sort(reverse=True)
-                for c in caps:
-                    if demand <= 0:
-                        break
-                    demand -= c
-                    extra += 1
-                if demand > 0:
-                    return INFEASIBLE  # cannot span
-            # layered reachability: layer d > 1 forces an internal vertex
-            # in every earlier layer, all of them currently unattached
-            frontier, rem, layers = attached, U, 0
-            while rem:
-                nxt = 0
-                fm = frontier
-                while fm:
-                    u = (fm & -fm).bit_length() - 1
-                    fm &= fm - 1
-                    nxt |= out_mask[u] & ~banned_out[u]
-                nxt &= rem
-                if nxt == 0:
-                    return INFEASIBLE  # unreachable vertex
-                layers += 1
-                rem &= ~nxt
-                frontier = nxt
-            extra = max(extra, layers - 1)
-            return n - max(internal.bit_count() + extra, 1)
-
-        def rec() -> None:
-            nonlocal best, best_T
-            if time.monotonic() > deadline:
-                raise BudgetExhausted(best, best_T)
-            trail: list = []
-            if not propagate(trail):
-                undo(trail)
-                return
-            attached = st["attached"]
-            if attached == FULL:
-                k = n - max(st["internal"].bit_count(), 1)
-                if k > best:
-                    best = k
-                    best_T = OutBranching(n, root, tuple(parent))
-                undo(trail)
-                return
-            if bound() <= best:
-                undo(trail)
-                return
-            # branch vertex: frontier vertex with fewest parent candidates
-            pick_v, pick_key, pick_cand = -1, None, 0
+    def propagate(attached: int, internal: int) -> Optional[tuple[int, int]]:
+        """Attach vertices with a unique surviving parent candidate; None
+        when some vertex has no candidate left."""
+        changed = True
+        while changed:
+            changed = False
             um = FULL & ~attached
             while um:
                 v = (um & -um).bit_length() - 1
                 um &= um - 1
                 avail = in_mask[v] & ~banned_in[v]
-                cand = avail & attached
-                if cand:
-                    key = (avail.bit_count(), v)
-                    if pick_key is None or key < pick_key:
-                        pick_v, pick_key, pick_cand = v, key, cand
-            if pick_v < 0:
-                undo(trail)
-                return
-            v = pick_v
-            ic = pick_cand & st["internal"]
-            u = ((ic & -ic) if ic else (pick_cand & -pick_cand)).bit_length() - 1
-            sub: list = []
-            take(u, v, sub)
-            rec()
-            undo(sub)
+                if avail == 0:
+                    return None
+                u = avail.bit_length() - 1
+                if avail & (avail - 1) == 0 and attached >> u & 1:
+                    parent[v] = u
+                    attached |= 1 << v
+                    internal |= 1 << u
+                    changed = True
+        return attached, internal
+
+    def bound(attached: int, internal: int) -> int:
+        """Upper bound on the leaves of a spanning completion; the state
+        does not span (search tests that first)."""
+        U = FULL & ~attached
+        demand = U.bit_count()
+        im = internal
+        while im and demand > 0:
+            u = (im & -im).bit_length() - 1
+            im &= im - 1
+            demand -= (out_mask[u] & U & ~banned_out[u]).bit_count()
+        extra = 0
+        if demand > 0:
+            caps = []
+            om = FULL & ~internal
+            while om:
+                u = (om & -om).bit_length() - 1
+                om &= om - 1
+                c = (out_mask[u] & U & ~banned_out[u]).bit_count()
+                if c:
+                    caps.append(c)
+            caps.sort(reverse=True)
+            for c in caps:
+                if demand <= 0:
+                    break
+                demand -= c
+                extra += 1
+            if demand > 0:
+                return INFEASIBLE  # cannot span
+        # layered reachability: layer d > 1 forces an internal vertex
+        # in every earlier layer, all of them currently unattached
+        frontier, rem, layers = attached, U, 0
+        while rem:
+            nxt = 0
+            fm = frontier
+            while fm:
+                u = (fm & -fm).bit_length() - 1
+                fm &= fm - 1
+                nxt |= out_mask[u] & ~banned_out[u]
+            nxt &= rem
+            if nxt == 0:
+                return INFEASIBLE  # unreachable vertex
+            layers += 1
+            rem &= ~nxt
+            frontier = nxt
+        extra = max(extra, layers - 1)
+        return n - max(internal.bit_count() + extra, 1)
+
+    def search(attached: int, internal: int) -> None:
+        """Take branches recurse; each exclude branch continues the loop."""
+        nonlocal best, best_T
+        bans = []
+        while True:
+            if time.monotonic() > deadline:
+                raise BudgetExhausted(best, best_T)
+            state = propagate(attached, internal)
+            if state is None:
+                break
+            attached, internal = state
+            if attached == FULL:
+                k = n - max(internal.bit_count(), 1)
+                if k > best:
+                    best = k
+                    best_T = OutBranching(n, root, tuple(parent))
+                break
+            if bound(attached, internal) <= best:
+                break
+            # branch vertex: the least frontier vertex with fewest parent
+            # candidates; the bound's first layer shows the frontier is nonempty
+            v, cand, fewest = -1, 0, n + 1
+            um = FULL & ~attached
+            while um:
+                w = (um & -um).bit_length() - 1
+                um &= um - 1
+                avail = in_mask[w] & ~banned_in[w]
+                if avail & attached and avail.bit_count() < fewest:
+                    v, cand, fewest = w, avail & attached, avail.bit_count()
+            c = cand & internal or cand  # an internal parent first
+            u = (c & -c).bit_length() - 1
+            parent[v] = u
+            search(attached | 1 << v, internal | 1 << u)
             banned_in[v] |= 1 << u
             banned_out[u] |= 1 << v
-            rec()
+            bans.append((u, v))
+        for u, v in bans:
             banned_in[v] &= ~(1 << u)
             banned_out[u] &= ~(1 << v)
-            undo(trail)
 
-        rec()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + n)  # one frame per take, at most n - 1
+    try:
+        for root in sorted(roots):
+            parent[:] = [-1] * n
+            search(1 << root, 0)
+    finally:
+        sys.setrecursionlimit(limit)
 
     if best < 0:
         return 0, None
@@ -322,10 +301,9 @@ def exact_vertex_separation(G: Graph) -> tuple[int, VertexOrdering]:
             v = (s & -s).bit_length() - 1
             s &= s - 1
             val = max(f[S & ~(1 << v)], bS)
-            if val < f[S] or (val == f[S] and (choice[S] == -1 or v < choice[S])):
+            if val < f[S]:
                 f[S] = val
                 choice[S] = v
-        # keep lowest-vertex choice among minimizers for determinism
 
     order: list[int] = []
     S = full

@@ -1,6 +1,7 @@
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -322,6 +323,19 @@ class TestVerify:
                            "--time-budget-ms", "20000")
         assert code == EXIT_OK
         assert json.loads(out)["passed"]
+
+    @pytest.mark.parametrize("campaign", ["theorem2", "lemma2", "widths"])
+    def test_repro_reruns_its_record(self, capsys, campaign):
+        code, out, _ = run(capsys, "verify", "--campaign", campaign,
+                           "--count", "1", "--n-min", "8", "--seed", "3",
+                           "--k", "4")
+        assert code == EXIT_OK
+        first = json.loads(out)["records"][0]
+        argv = shlex.split(first["repro"])
+        assert argv[:2] == ["maxleaf", "verify"]
+        code, out, _ = run(capsys, *argv[1:])
+        assert code == EXIT_OK
+        assert json.loads(out)["records"][0] == first
 
 
 def test_unknown_subcommand_is_usage(capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from maxleaf import decomposition
 from maxleaf.branching import OutBranching, leaf_count, validate
 from maxleaf.decomposition import (
     PathDecomposition,
@@ -13,7 +14,7 @@ from maxleaf.decomposition import (
     ordering_to_decomposition,
     validate_pd,
 )
-from maxleaf.digraph import Digraph, Graph, underlying_graph
+from maxleaf.digraph import Digraph, FormatError, Graph, underlying_graph
 from maxleaf.generators import gen_random_strong
 from maxleaf.local_search import bfs_branching, improve_to_1ae
 from maxleaf.oracles import exact_vertex_separation
@@ -47,6 +48,11 @@ class TestPathDecomposition:
     def test_text_round_trip(self):
         P = PathDecomposition((frozenset({0, 1}), frozenset({1, 2})))
         assert PathDecomposition.from_text(P.to_text()) == P
+
+    def test_from_text_tokens_must_be_decimal_form(self):
+        # int() reads this line as the bag {10, 2, 3}
+        with pytest.raises(FormatError):
+            PathDecomposition.from_text("1_0 +2 \u0663\n")
 
 
 class TestValidatePd:
@@ -263,6 +269,21 @@ class TestDecomposeStrong:
         assert validate_pd(underlying_graph(D), out.decomposition) is None
         assert out.diagnostics == (
             "stripped path ordering boundary 3 exceeds k=2",)
+
+    def test_beta_split_diagnostics_reported(self, monkeypatch):
+        # no corpus instance breaks the split balance, so force one message
+        split = decomposition.beta_split
+        msg = "split balance outside case bounds: forced"
+
+        def noisy(T, next_clone_id, diags):
+            if not diags:
+                diags.append(msg)
+            return split(T, next_clone_id, diags)
+
+        monkeypatch.setattr(decomposition, "beta_split", noisy)
+        out = decompose_strong(gen_random_strong(30, 1, 10), 30)
+        assert out.kind == "decomposition"
+        assert out.diagnostics == (msg,)
 
     def test_n1000_decomposition_is_pinned(self):
         out = decompose_strong(gen_random_strong(1000, 3, 10), 955)

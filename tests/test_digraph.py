@@ -56,6 +56,12 @@ class TestParse:
         with pytest.raises(FormatError):
             parse("3 2\n0 1")
 
+    @pytest.mark.parametrize("text", ["1_1 0\n", "3 1\n0 +\u0662\n"])
+    def test_tokens_must_be_decimal_form(self, text):
+        # int() reads "1_1" as 11 and "+\u0662" as 2; only str(v) is a token
+        with pytest.raises(FormatError):
+            parse(text)
+
     def test_json_round_trip(self):
         D = parse('{"n": 3, "arcs": [[0, 1], [1, 2]]}')
         assert D == parse(serialize_json(D))

@@ -1,10 +1,18 @@
+import hashlib
+import json
 import random
+import sys
 
 import pytest
 
 from maxleaf.branching import leaf_count, validate
 from maxleaf import oracles
 from maxleaf.digraph import Digraph, Graph, underlying_graph
+from maxleaf.generators import (
+    gen_random_dag_single_source,
+    gen_random_strong,
+    gen_random_strong_min_in3,
+)
 from maxleaf.oracles import (
     BudgetExhausted,
     exact_max_leaf_branching,
@@ -75,6 +83,30 @@ class TestBranchAndBound:
         v0, T0 = exact_max_leaf_branching(D, 10_000)
         v1, _ = exact_max_leaf_branching(D, 10_000, initial_lower_bound=(v0, T0))
         assert v0 == v1
+
+    def test_values_and_witnesses_pinned(self):
+        # values, roots and parent tuples of twelve searches, hashed; any
+        # change to the search order or the tie-breaks changes the digest
+        rows = []
+        for s in range(4):
+            for D in (gen_random_strong(13 + s, s, 15),
+                      gen_random_strong_min_in3(14 + s, s),
+                      gen_random_dag_single_source(16, s)):
+                v, T = exact_max_leaf_branching(D, 60_000)
+                rows.append([v, T.root, list(T.parent)])
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == (
+            "852e8655aee2c438ec6c7783d1e8bfcbbae88278e0dea7916f34e9d0cf08103e")
+
+    def test_recursion_limit_restored(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            with pytest.raises(BudgetExhausted):
+                exact_max_leaf_branching(gen_random_strong(30, 0, 30), 0.0)
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestMaxLeafTree:
