@@ -2,8 +2,11 @@ import hashlib
 import json
 import random
 import sys
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxleaf.branching import leaf_count, validate
 from maxleaf import oracles
@@ -224,3 +227,51 @@ class TestVertexSeparation:
         G = complete_graph(5)
         sub = ugraph(5, [tuple(sorted(e)) for e in list(G.edges)[:6]])
         assert exact_vertex_separation(sub)[0] <= exact_vertex_separation(G)[0]
+
+    def test_values_and_orders_pinned(self):
+        # values and orderings of twelve DPs, hashed; any change to the
+        # recurrence or the order reconstruction changes the digest
+        rows = []
+        for s in range(4):
+            for D in (gen_random_strong(9 + s, s, 15),
+                      gen_random_strong_min_in3(10 + s, s),
+                      gen_random_dag_single_source(12, s)):
+                value, ordering = exact_vertex_separation(underlying_graph(D))
+                rows.append([value, list(ordering.order)])
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == (
+            "b7b764a0e2f3f0eeeb956b9911682c12b838b3bac66031147aaad639a6f4f084")
+
+
+def ordering_cost(nbr, order):
+    """Largest prefix boundary of `order`: the most vertices of a prefix
+    that have a neighbour outside it."""
+    worst, prefix = 0, 0
+    for v in order:
+        prefix |= 1 << v
+        b = sum(1 for u in order if prefix >> u & 1 and nbr[u] & ~prefix)
+        worst = max(worst, b)
+    return worst
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return ugraph(n, edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_graphs())
+def test_vertex_separation_matches_brute_force(G):
+    nbr = [0] * G.n
+    for e in G.edges:
+        u, v = tuple(e)
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    value, ordering = exact_vertex_separation(G)
+    assert value == min(ordering_cost(nbr, p)
+                        for p in permutations(range(G.n)))
+    assert sorted(ordering.order) == list(range(G.n))
+    assert ordering_cost(nbr, ordering.order) == ordering.cost == value
