@@ -160,10 +160,23 @@ def validate(D: Digraph, T: OutBranching) -> str | None:
             return f"parent {p} of {v} out of range"
         if (p, v) not in D.arcs:
             return f"non-host arc ({p}, {v})"
-    depths = T.depths()
-    bad = [v for v in range(T.n) if depths[v] < 0]
-    if bad:
-        return f"unreachable from root: vertex {bad[0]}"
+    # walk up from each v in turn, marking the walk with v; every vertex
+    # below v is marked done, so v is the least unreachable vertex when
+    # its walk meets its own mark (a cycle) before a done vertex
+    done = T.n
+    mark = [-1] * T.n
+    mark[T.root] = done
+    for v in range(T.n):
+        u = v
+        while mark[u] != done:
+            if mark[u] == v:
+                return f"unreachable from root: vertex {v}"
+            mark[u] = v
+            u = T.parent[u]
+        u = v
+        while mark[u] == v:
+            mark[u] = done
+            u = T.parent[u]
     return None
 
 

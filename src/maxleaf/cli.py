@@ -22,7 +22,7 @@ from .decomposition import (
     decompose_strong,
     validate_pd,
 )
-from .digraph import Digraph, underlying_graph
+from .digraph import Digraph, int_token, underlying_graph
 from .fpt import decide_k_dmlob
 from .generators import InstanceSpec, generate
 from .harness import verify_bound_theorem2, verify_lemma2, verify_widths
@@ -222,10 +222,18 @@ def _cmd_check(args) -> int:
 def _verify_specs(args) -> list[InstanceSpec]:
     """The one spec that --family and --params name, else the campaign's
     sweep of --count seeds with n spread over --n-min..--n-max."""
-    if args.family and args.params:
-        params = tuple((k, int(v)) for k, v in
-                       (kv.split("=") for kv in args.params.split(",") if kv))
-        return [InstanceSpec(args.family, params, args.seed)]
+    if bool(args.family) != bool(args.params):
+        raise ValueError("verify: --family and --params must be given together")
+    if args.family:
+        params = []
+        for kv in filter(None, args.params.split(",")):
+            key, _, val = kv.partition("=")
+            try:
+                params.append((key, int_token(val)))
+            except ValueError:
+                raise ValueError(
+                    f"verify: --params pair {kv!r} is not key=integer") from None
+        return [InstanceSpec(args.family, tuple(params), args.seed)]
     specs = []
     for i in range(args.count):
         n = args.n_min + (args.n_max - args.n_min) * i // max(args.count - 1, 1)

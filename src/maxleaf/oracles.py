@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import sys
 import time
+from array import array
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -102,14 +103,15 @@ def exact_max_leaf_branching(
 
     n = D.n
     FULL = (1 << n) - 1
-    out_mask = [0] * n
-    in_mask = [0] * n
+    # avail_out[u] / avail_in[v]: the arcs out of u / into v that the
+    # search has not excluded; an exclusion clears one bit in each
+    avail_out = [0] * n
+    avail_in = [0] * n
     for a, b in D.arcs:
-        out_mask[a] |= 1 << b
-        in_mask[b] |= 1 << a
+        avail_out[a] |= 1 << b
+        avail_in[b] |= 1 << a
+    idx = {1 << v: v for v in range(n)}
     INFEASIBLE = -(10 ** 9)
-    banned_in = [0] * n   # banned_in[v]: parents excluded for v
-    banned_out = [0] * n  # mirror, child side
     # parent[v] is written when v is attached; v is attached at most once
     # on a search path, so a spanning node reads only its own path's entries
     parent = [-1] * n
@@ -120,39 +122,38 @@ def exact_max_leaf_branching(
         changed = True
         while changed:
             changed = False
-            um = FULL & ~attached
+            um = FULL ^ attached
             while um:
-                v = (um & -um).bit_length() - 1
-                um &= um - 1
-                avail = in_mask[v] & ~banned_in[v]
+                low = um & -um
+                um ^= low
+                avail = avail_in[idx[low]]
                 if avail == 0:
                     return None
-                u = avail.bit_length() - 1
-                if avail & (avail - 1) == 0 and attached >> u & 1:
-                    parent[v] = u
-                    attached |= 1 << v
-                    internal |= 1 << u
+                if avail & (avail - 1) == 0 and avail & attached:
+                    parent[idx[low]] = idx[avail]
+                    attached |= low
+                    internal |= avail
                     changed = True
         return attached, internal
 
     def bound(attached: int, internal: int) -> int:
         """Upper bound on the leaves of a spanning completion; the state
         does not span (search tests that first)."""
-        U = FULL & ~attached
+        U = FULL ^ attached
         demand = U.bit_count()
         im = internal
         while im and demand > 0:
-            u = (im & -im).bit_length() - 1
-            im &= im - 1
-            demand -= (out_mask[u] & U & ~banned_out[u]).bit_count()
+            low = im & -im
+            im ^= low
+            demand -= (avail_out[idx[low]] & U).bit_count()
         extra = 0
         if demand > 0:
             caps = []
-            om = FULL & ~internal
+            om = FULL ^ internal
             while om:
-                u = (om & -om).bit_length() - 1
-                om &= om - 1
-                c = (out_mask[u] & U & ~banned_out[u]).bit_count()
+                low = om & -om
+                om ^= low
+                c = (avail_out[idx[low]] & U).bit_count()
                 if c:
                     caps.append(c)
             caps.sort(reverse=True)
@@ -170,9 +171,9 @@ def exact_max_leaf_branching(
             nxt = 0
             fm = frontier
             while fm:
-                u = (fm & -fm).bit_length() - 1
-                fm &= fm - 1
-                nxt |= out_mask[u] & ~banned_out[u]
+                low = fm & -fm
+                fm ^= low
+                nxt |= avail_out[idx[low]]
             nxt &= rem
             if nxt == 0:
                 return INFEASIBLE  # unreachable vertex
@@ -203,24 +204,25 @@ def exact_max_leaf_branching(
                 break
             # branch vertex: the least frontier vertex with fewest parent
             # candidates; the bound's first layer shows the frontier is nonempty
-            v, cand, fewest = -1, 0, n + 1
-            um = FULL & ~attached
+            vb, cand, fewest = 0, 0, n + 1
+            um = FULL ^ attached
             while um:
-                w = (um & -um).bit_length() - 1
-                um &= um - 1
-                avail = in_mask[w] & ~banned_in[w]
+                low = um & -um
+                um ^= low
+                avail = avail_in[idx[low]]
                 if avail & attached and avail.bit_count() < fewest:
-                    v, cand, fewest = w, avail & attached, avail.bit_count()
+                    vb, cand, fewest = low, avail & attached, avail.bit_count()
             c = cand & internal or cand  # an internal parent first
-            u = (c & -c).bit_length() - 1
+            ub = c & -c
+            v, u = idx[vb], idx[ub]
             parent[v] = u
-            search(attached | 1 << v, internal | 1 << u)
-            banned_in[v] |= 1 << u
-            banned_out[u] |= 1 << v
+            search(attached | vb, internal | ub)
+            avail_in[v] ^= ub
+            avail_out[u] ^= vb
             bans.append((u, v))
         for u, v in bans:
-            banned_in[v] &= ~(1 << u)
-            banned_out[u] &= ~(1 << v)
+            avail_in[v] |= 1 << u
+            avail_out[u] |= 1 << v
 
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + n)  # one frame per take, at most n - 1
@@ -263,8 +265,11 @@ def exact_max_leaf_tree(D: Digraph, time_budget_ms: float = 60_000.0) -> int:
 def exact_vertex_separation(G: Graph) -> tuple[int, VertexOrdering]:
     """Exact vertex separation by subset DP; n <= 20.
 
-    f(S) = min over v in S of max(f(S - v), |boundary(S)|), where the
-    boundary of S is the set of its vertices with a neighbor outside S.
+    f(S) = max(|boundary(S)|, min over v in S of f(S - v)), where the
+    boundary S & nu[full - S] holds the vertices of S with a neighbor
+    outside S, nu[X] being the union of the neighborhoods of X.
+    O(n * 2^n) time, about 5 * 2^n bytes.  The order is read back from
+    full: at each S, the least v with f(S - v) <= f(S) reaches f(S).
     """
     n = G.n
     if n > 20:
@@ -273,43 +278,33 @@ def exact_vertex_separation(G: Graph) -> tuple[int, VertexOrdering]:
         return 0, VertexOrdering((), 0)
     nbr = [0] * n
     for e in G.edges:
-        u, v = sorted(e)
+        u, v = e
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
 
     full = (1 << n) - 1
-
-    def boundary_size(S: int) -> int:
-        comp = full & ~S
-        b = 0
-        s = S
-        while s:
-            v = (s & -s).bit_length() - 1
-            s &= s - 1
-            if nbr[v] & comp:
-                b += 1
-        return b
-
-    INF = n + 1
-    f = [INF] * (1 << n)
-    choice = [-1] * (1 << n)
-    f[0] = 0
+    nu = array("I", [0])
+    for v in range(n):  # the sets whose highest vertex is v
+        nv = nbr[v]
+        nu.extend(array("I", (x | nv for x in nu)))
+    f = bytearray(1 << n)
     for S in range(1, 1 << n):
-        bS = boundary_size(S)
-        s = S
-        while s:
-            v = (s & -s).bit_length() - 1
-            s &= s - 1
-            val = max(f[S & ~(1 << v)], bS)
-            if val < f[S]:
-                f[S] = val
-                choice[S] = v
+        b = (S & nu[full ^ S]).bit_count()
+        best, s = n, S
+        while s and best > b:  # once some f(S - v) <= b, f(S) = b
+            low = s & -s
+            s ^= low
+            if (x := f[S ^ low]) < best:
+                best = x
+        f[S] = best if best > b else b
 
     order: list[int] = []
     S = full
     while S:
-        v = choice[S]
+        v = 0
+        while not (S >> v & 1 and f[S ^ 1 << v] <= f[S]):
+            v += 1
         order.append(v)
-        S &= ~(1 << v)
+        S ^= 1 << v
     order.reverse()
     return f[full], VertexOrdering(tuple(order), f[full])

@@ -37,6 +37,28 @@ class TestValidate:
         T = OutBranching(3, 0, (-1, 0, -1))
         assert "no parent" in validate(D, T)
 
+    def test_messages_pinned(self):
+        n = 6
+        D = Digraph.build(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+        cases = [
+            # 3 <-> 4 is a parent cycle that avoids the root; 1 hangs off
+            # it and is the least unreachable vertex; 2 and 5 are reachable
+            ((0, (-1, 3, 0, 4, 3, 2)), "unreachable from root: vertex 1"),
+            # 5 -> 4 -> 3 -> 5 cycles; 1 and 2 reach the root
+            ((0, (-1, 0, 1, 5, 3, 4)), "unreachable from root: vertex 3"),
+            # a cycle through a wrong root's own parent
+            ((2, (-1, 0, 1, 2, 3, 4)), "root 2 has a parent"),
+            ((6, (-1, 0, 1, 2, 3, 4)), "root 6 out of range"),
+            ((1, (-1, -1, 1, 2, 3, 4)), "non-root vertex 0 has no parent"),
+            ((0, (-1, 0, 0, 0, 0, 9)), "parent 9 of 5 out of range"),
+        ]
+        for (root, parent), message in cases:
+            assert validate(D, OutBranching(n, root, parent)) == message
+        D = Digraph.build(n, [(i, i + 1) for i in range(n - 1)])
+        T = OutBranching(n, 0, (-1, 0, 1, 2, 3, 3))
+        assert validate(D, T) == "non-host arc (3, 5)"
+        assert validate(D, OutBranching(n, 0, (-1, 0, 1, 2, 3, 4))) is None
+
 
 class TestClassify:
     def test_star(self):

@@ -337,6 +337,28 @@ class TestVerify:
         assert code == EXIT_OK
         assert json.loads(out)["records"][0] == first
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "ht"], "--family and --params must be given together"),
+        (["--params", "t=3"], "--family and --params must be given together"),
+        (["--family", "random_strong", "--params", "n=1_0,pct=10"],
+         "--params pair 'n=1_0' is not key=integer"),
+        (["--family", "random_strong", "--params", "n10"],
+         "--params pair 'n10' is not key=integer"),
+    ])
+    def test_family_and_params_are_checked(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", "--campaign", "widths",
+                             "--count", "1", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
+
+    def test_family_and_params_select_the_instance(self, capsys):
+        code, out, _ = run(capsys, "verify", "--campaign", "widths",
+                           "--family", "ht", "--params", "t=6", "--k", "4")
+        assert code == EXIT_OK
+        records = json.loads(out)["records"]
+        assert len(records) == 1 and "--family ht" in records[0]["repro"]
+
 
 def test_unknown_subcommand_is_usage(capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
