@@ -24,7 +24,7 @@ from .decomposition import (
 )
 from .digraph import Digraph, int_token, underlying_graph
 from .fpt import decide_k_dmlob
-from .generators import InstanceSpec, generate
+from .generators import FAMILY_PARAMS, InstanceSpec, generate
 from .harness import verify_bound_theorem2, verify_lemma2, verify_widths
 from .local_search import best_of_restarts, is_1ae_optimal
 from .oracles import BudgetExhausted, exact_max_leaf_branching
@@ -50,9 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="generate an instance")
-    g.add_argument("--family", required=True,
-                   choices=["ht", "random_strong", "random_strong_min_in3",
-                            "random_dag_single_source", "random_digraph"])
+    g.add_argument("--family", required=True, choices=list(FAMILY_PARAMS))
     g.add_argument("--t", type=int)
     g.add_argument("--n", type=int)
     g.add_argument("--pct", type=int, help="arc density percent")
@@ -225,15 +223,29 @@ def _verify_specs(args) -> list[InstanceSpec]:
     if bool(args.family) != bool(args.params):
         raise ValueError("verify: --family and --params must be given together")
     if args.family:
-        params = []
+        if args.family not in FAMILY_PARAMS:
+            raise ValueError(f"verify: unknown family {args.family!r}")
+        required, optional = FAMILY_PARAMS[args.family]
+        params: dict[str, int] = {}
         for kv in filter(None, args.params.split(",")):
             key, _, val = kv.partition("=")
             try:
-                params.append((key, int_token(val)))
+                value = int_token(val)
             except ValueError:
                 raise ValueError(
                     f"verify: --params pair {kv!r} is not key=integer") from None
-        return [InstanceSpec(args.family, tuple(params), args.seed)]
+            if key in params:
+                raise ValueError(f"verify: --params key {key!r} is repeated")
+            if key not in required + optional:
+                raise ValueError(
+                    f"verify: --params key {key!r} is unknown for family "
+                    f"{args.family} (keys: {', '.join(required + optional)})")
+            params[key] = value
+        for key in required:
+            if key not in params:
+                raise ValueError(
+                    f"verify: --params key {key!r} is missing for family {args.family}")
+        return [InstanceSpec(args.family, tuple(params.items()), args.seed)]
     specs = []
     for i in range(args.count):
         n = args.n_min + (args.n_max - args.n_min) * i // max(args.count - 1, 1)

@@ -230,14 +230,17 @@ class DecomposeOutcome:
         return "witness" if self.witness is not None else "decomposition"
 
 
-def decompose_acyclic(D: Digraph, k: int) -> DecomposeOutcome:
+def decompose_acyclic(D: Digraph, k: int,
+                      T: Optional[OutBranching] = None) -> DecomposeOutcome:
     """Witness a branching with >= k leaves or decompose UN(D).
 
     Requires D acyclic with a single vertex of in-degree zero.  The
     decomposition unions the leaf, branch and path-head vertices of a
     locally optimal branching into every bag of a width-1 decomposition
     of the remaining link paths; width is at most 4k-6 when the local
-    optimum has fewer than k leaves.
+    optimum has fewer than k leaves.  That branching is T when given (a
+    caller that already holds it), else improve_to_1ae(bfs_branching(D,
+    source)).
     """
     if not is_acyclic(D):
         raise ValueError("digraph is not acyclic")
@@ -246,7 +249,8 @@ def decompose_acyclic(D: Digraph, k: int) -> DecomposeOutcome:
         raise ValueError(f"expected a single source, found {len(sources)}")
     root = sources[0]
 
-    T = improve_to_1ae(D, bfs_branching(D, root))
+    if T is None:
+        T = improve_to_1ae(D, bfs_branching(D, root))
     if leaf_count(T) >= k:
         return DecomposeOutcome(witness=T)
 
@@ -537,8 +541,8 @@ def layer_bound(k: int) -> int:
     return 2 + math.ceil(math.log(max(k, 2)) / math.log(4 / 3))
 
 
-def decompose_strong(D: Digraph, k: int,
-                     assume_premise: bool = False) -> DecomposeOutcome:
+def decompose_strong(D: Digraph, k: int, assume_premise: bool = False,
+                     T: Optional[OutBranching] = None) -> DecomposeOutcome:
     """Witness a branching with >= k leaves or decompose UN(D).
 
     Applies to strongly connected digraphs, and more generally to
@@ -547,7 +551,8 @@ def decompose_strong(D: Digraph, k: int,
     optimal branching, decomposes each resulting directed path along its
     own order, and merges children by unioning the cross-arc neighbor
     set (at most 2k vertices when the machinery's premises hold) into
-    every bag.
+    every bag.  That branching is T when given (a caller that already
+    holds it), else improve_to_1ae(bfs_branching(D, min root)).
     """
     if D.n == 0:
         raise ValueError("empty digraph")
@@ -566,8 +571,9 @@ def decompose_strong(D: Digraph, k: int,
         return DecomposeOutcome(
             decomposition=PathDecomposition((frozenset({0}),)), layers=1)
 
-    _, roots = has_out_branching(D)
-    T = improve_to_1ae(D, bfs_branching(D, min(roots)))
+    if T is None:
+        _, roots = has_out_branching(D)
+        T = improve_to_1ae(D, bfs_branching(D, min(roots)))
     if leaf_count(T) >= k:
         return DecomposeOutcome(witness=T)
 

@@ -1,13 +1,15 @@
 """Directed graph representation, parsing and structural predicates.
 
 Vertices are dense integers 0..n-1.  Digraphs are immutable after
-construction; all operations here are pure functions.
+construction; all operations here are pure functions.  A digraph's
+strong components are computed once, on first use, and kept with it, so
+the structural predicates built on them share one Tarjan pass.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class FormatError(ValueError):
@@ -28,6 +30,11 @@ class Digraph:
     arcs: frozenset[tuple[int, int]]
     out_adj: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     in_adj: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    # filled by strong_components on first use; a declared field rather
+    # than a functools.cached_property, which would materialise the
+    # instance __dict__ and slow every later attribute read
+    _scc: Optional["StrongComponentIndex"] = field(
+        default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def build(n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
@@ -82,11 +89,22 @@ class Digraph:
 
 @dataclass(frozen=True)
 class StrongComponentIndex:
-    """Strong components with their acyclic condensation."""
+    """Strong components with their acyclic condensation.
+
+    A digraph keeps its index as long as it lives, so the condensation is
+    not stored but built on each access: for an acyclic digraph it is as
+    large as the digraph itself.
+    """
 
     component_id: tuple[int, ...]
-    condensation: Digraph
     source_components: frozenset[int]
+    arcs: frozenset[tuple[int, int]] = field(compare=False, repr=False)  # D.arcs, shared
+
+    @property
+    def condensation(self) -> Digraph:
+        comp = self.component_id
+        return Digraph.build(max(comp, default=-1) + 1, {
+            (comp[u], comp[v]) for u, v in self.arcs if comp[u] != comp[v]})
 
 
 def parse(text: str) -> Digraph:
@@ -195,11 +213,17 @@ def serialize_json(D: Digraph) -> str:
 
 
 def strong_components(D: Digraph) -> StrongComponentIndex:
-    """Strong components (iterative Tarjan).
+    """Strong components (iterative Tarjan), computed once per digraph.
 
     Component labels are assigned in order of the smallest vertex each
     component contains, so output is deterministic.
     """
+    if D._scc is None:
+        object.__setattr__(D, "_scc", _tarjan(D))
+    return D._scc
+
+
+def _tarjan(D: Digraph) -> StrongComponentIndex:
     n = D.n
     index = [-1] * n
     low = [0] * n
@@ -256,14 +280,9 @@ def strong_components(D: Digraph) -> StrongComponentIndex:
     relabel = {c: i for i, c in enumerate(order)}
     comp = tuple(relabel[raw_comp[v]] for v in range(n))
 
-    cond_arcs = {
-        (comp[u], comp[v]) for u, v in D.arcs if comp[u] != comp[v]
-    }
-    condensation = Digraph.build(comp_count, cond_arcs)
-    sources = frozenset(
-        c for c in range(comp_count) if condensation.in_degree(c) == 0
-    )
-    return StrongComponentIndex(comp, condensation, sources)
+    entered = {comp[v] for u, v in D.arcs if comp[u] != comp[v]}
+    sources = frozenset(c for c in range(comp_count) if c not in entered)
+    return StrongComponentIndex(comp, sources, D.arcs)
 
 
 def is_strongly_connected(D: Digraph) -> bool:

@@ -12,11 +12,18 @@ arc gives a parent to a vertex that had none and merges two distinct
 blocks, and a finished state has one block over all n vertices.  So a
 finished state holds exactly n - 1 arcs and exactly one vertex without a
 parent, its root: one run covers every candidate root.
+
+The relabels a step applies to a state's block labels (the merges of an
+introduce, the release of a forget) depend only on the labels and slots
+involved, not on the graph.  They are memoised at module level in tables
+of at most TRANSITION_CACHE_SIZE entries each, so the many small runs of
+a process share them.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .branching import OutBranching, OutTree, leaf_count, validate
@@ -85,18 +92,6 @@ State = tuple[int, int, tuple[int, ...]]
 MAX_DP_STATES = 1_000_000
 
 
-def state_space_cap(bag_size: int) -> int:
-    """Regression guard: Bell(bag_size) * 4**bag_size."""
-    bell = [[1]]
-    for i in range(1, bag_size + 1):
-        row = [bell[-1][-1]]
-        for x in bell[-1]:
-            row.append(row[-1] + x)
-        bell.append(row)
-    b = bell[bag_size][0] if bag_size > 0 else 1
-    return b * 4 ** bag_size
-
-
 @dataclass
 class DPRun:
     value: Optional[int]
@@ -117,13 +112,23 @@ def dp_max_leaf(D: Digraph, P: PathDecomposition,
 
 def _canonical(raw) -> tuple[int, ...]:
     """Relabel blocks 1, 2, ... in order of first occurrence; 0 (a free
-    slot) stays 0."""
+    slot) stays 0.  Equal label tuples come back as one shared object."""
     seen = {0: 0}
-    return tuple([seen.setdefault(x, len(seen)) for x in raw])
+    return _intern(tuple([seen.setdefault(x, len(seen)) for x in raw]))
 
 
+# The transitions below depend only on their arguments, never on the graph,
+# so every run in the process shares one table per transition, bounded so
+# that a long-lived process does not grow without limit.
+TRANSITION_CACHE_SIZE = 1 << 16
+
+# lru_cache on the identity: returns the first equal tuple it has seen
+_intern = lru_cache(maxsize=TRANSITION_CACHE_SIZE)(lambda labels: labels)
+
+
+@lru_cache(maxsize=TRANSITION_CACHE_SIZE)
 def _intro_moves(labels: tuple[int, ...], s: int, targets: int,
-                 parent_label: int) -> list[tuple[int, tuple[int, ...]]]:
+                 parent_label: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Every set of children for a vertex introduced into slot s, as
     (children mask, labels after the merge).  Children come from the
     slots in targets, at most one per block and none from the parent's
@@ -136,9 +141,17 @@ def _intro_moves(labels: tuple[int, ...], s: int, targets: int,
     for lab, bits in groups.items():
         combos += [(kids | b, merged | 1 << lab) for kids, merged in combos
                    for b in bits]
-    return [(kids, _canonical(-1 if i == s or merged >> lab & 1 else lab
-                              for i, lab in enumerate(labels)))
-            for kids, merged in combos]
+    return tuple((kids, _canonical(-1 if i == s or merged >> lab & 1 else lab
+                                   for i, lab in enumerate(labels)))
+                 for kids, merged in combos)
+
+
+@lru_cache(maxsize=TRANSITION_CACHE_SIZE)
+def _forget(labels: tuple[int, ...], s: int) -> tuple[tuple[int, ...], bool]:
+    """The labels after slot s is freed, and whether its vertex was alone
+    in its block."""
+    return (_canonical(0 if j == s else lab for j, lab in enumerate(labels)),
+            labels.count(labels[s]) == 1)
 
 
 def dp_max_leaf_run(D: Digraph, P: PathDecomposition,
@@ -177,8 +190,6 @@ def dp_max_leaf_run(D: Digraph, P: PathDecomposition,
     vertex_at: list[int] = [-1] * (nice.width + 1)  # slot -> bag vertex
     slot_of: dict[int, int] = {}
     intro_at: dict[int, tuple[int, tuple[int, ...]]] = {}  # step -> (v, vertex_at)
-    intro_memo: dict[tuple, list] = {}
-    forget_memo: dict[tuple, tuple[tuple[int, ...], bool]] = {}
 
     for si, (kind, v) in enumerate(steps):
         new_table: dict[State, tuple] = {}
@@ -219,11 +230,8 @@ def dp_max_leaf_run(D: Digraph, P: PathDecomposition,
                     continue
                 targets = out_mask & ~hp
                 for p, pb in parents:
-                    pl = labels[p] if p >= 0 else 0
-                    key = (labels, s, targets, pl)
-                    moves = intro_memo.get(key)
-                    if moves is None:
-                        moves = intro_memo[key] = _intro_moves(labels, s, targets, pl)
+                    moves = _intro_moves(labels, s, targets,
+                                         labels[p] if p >= 0 else 0)
                     base_hp = hp | vb if pb else hp
                     base_cl = cl & ~pb
                     for kids, new_labels in moves:
@@ -235,14 +243,7 @@ def dp_max_leaf_run(D: Digraph, P: PathDecomposition,
             else:  # forget
                 if needs_parent and not hp & vb:
                     continue
-                key = (labels, s)
-                hit = forget_memo.get(key)
-                if hit is None:
-                    lone = labels.count(labels[s]) == 1
-                    hit = forget_memo[key] = (
-                        _canonical(0 if j == s else lab for j, lab in enumerate(labels)),
-                        lone)
-                new_labels, lone = hit
+                new_labels, lone = _forget(labels, s)
                 if lone and not lone_ok:
                     continue
                 nv = value + 1 if hp & cl & vb else value
@@ -342,27 +343,32 @@ def decide_k_dmlob(D: Digraph, k: int, assume_supported: bool = False,
     if k <= 0:
         return Decision("yes", k, leaves=0, method="structure")
 
+    first: Optional[OutBranching] = None  # the tree of min(roots)
     best: Optional[OutBranching] = None
+    lb = 0
     for root in sorted(roots):
         T = improve_to_1ae(D, bfs_branching(D, root))
-        if best is None or leaf_count(T) > leaf_count(best):
-            best = T
-        if leaf_count(T) >= k:
-            return Decision("yes", k, leaves=leaf_count(T), witness=T,
+        leaves = leaf_count(T)
+        if leaves >= k:
+            return Decision("yes", k, leaves=leaves, witness=T,
                             method="local-search")
+        if first is None:
+            first = T
+        if best is None or leaves > lb:
+            best, lb = T, leaves
 
     if _is_acyclic_single_source(D):
-        outcome = decompose_acyclic(D, k)
+        outcome = decompose_acyclic(D, k, first)
     elif is_strongly_connected(D) or in_class_L(D) or assume_supported:
-        outcome = decompose_strong(D, k, assume_premise=assume_supported)
+        outcome = decompose_strong(D, k, assume_premise=assume_supported,
+                                   T=first)
     else:
         return Decision("unsupported", k)
 
-    # both decompositions descend from bfs_branching(D, min(roots)), as above
+    # both decompositions start from first, which has fewer than k leaves
     assert outcome.witness is None
 
     pd = outcome.decomposition
-    lb = leaf_count(best)
     try:
         run = dp_max_leaf_run(D, pd, lower_bound=lb, deadline=deadline)
     except BudgetExhausted:

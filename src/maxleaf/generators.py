@@ -59,6 +59,16 @@ class InstanceSpec:
         return f"{self.family}({ps};seed={self.seed})"
 
 
+# family -> (required parameter names, optional parameter names)
+FAMILY_PARAMS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "ht": (("t",), ()),
+    "random_strong": (("n",), ("pct",)),
+    "random_strong_min_in3": (("n",), ()),
+    "random_dag_single_source": (("n",), ("pct",)),
+    "random_digraph": (("n",), ("pct",)),
+}
+
+
 def generate(spec: InstanceSpec) -> Digraph:
     if spec.family == "ht":
         return gen_ht(spec.param("t"))

@@ -15,7 +15,7 @@ from maxleaf.decomposition import (
     validate_pd,
 )
 from maxleaf.digraph import Digraph, Graph, has_out_branching, underlying_graph
-from maxleaf.fpt import decide_k_dmlot, dp_max_leaf_run, state_space_cap
+from maxleaf.fpt import decide_k_dmlot, dp_max_leaf_run
 from maxleaf.generators import InstanceSpec, gen_ht, gen_random_strong, generate
 from maxleaf.harness import cube_root_bound, verify_bound_theorem2
 from maxleaf.local_search import (
@@ -30,6 +30,8 @@ from maxleaf.oracles import (
     exact_vertex_separation,
     naive_max_leaf_branching,
 )
+
+from helpers import state_space_cap
 
 GOLDEN_H6_LEAVES = 19  # frozen from the first certified oracle run
 

@@ -344,6 +344,14 @@ class TestVerify:
          "--params pair 'n=1_0' is not key=integer"),
         (["--family", "random_strong", "--params", "n10"],
          "--params pair 'n10' is not key=integer"),
+        (["--family", "ht", "--params", "n=5", "--k", "4"],
+         "--params key 'n' is unknown for family ht (keys: t)"),
+        (["--family", "random_strong", "--params", "pct=10"],
+         "--params key 'n' is missing for family random_strong"),
+        (["--family", "random_strong", "--params", "n=8,pct=10,n=9"],
+         "--params key 'n' is repeated"),
+        (["--family", "petersen", "--params", "n=10"],
+         "unknown family 'petersen'"),
     ])
     def test_family_and_params_are_checked(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", "--campaign", "widths",

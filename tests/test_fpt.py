@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxleaf import fpt
+from maxleaf import decomposition, digraph, fpt
 from maxleaf.branching import OutTree, leaf_count, validate
-from maxleaf.decomposition import PathDecomposition, ordering_to_decomposition
-from maxleaf.digraph import Digraph, underlying_graph
+from maxleaf.decomposition import (
+    PathDecomposition,
+    decompose_acyclic,
+    decompose_strong,
+    ordering_to_decomposition,
+)
+from maxleaf.digraph import Digraph, has_out_branching, underlying_graph
 from maxleaf.fpt import (
     Decision,
     NicePD,
@@ -16,9 +21,9 @@ from maxleaf.fpt import (
     decide_k_dmlot,
     dp_max_leaf,
     dp_max_leaf_run,
-    state_space_cap,
     to_nice,
 )
+from maxleaf.generators import gen_random_dag_single_source, gen_random_strong
 from maxleaf.oracles import (
     BudgetExhausted,
     VertexOrdering,
@@ -26,6 +31,8 @@ from maxleaf.oracles import (
     exact_vertex_separation,
     naive_max_leaf_branching,
 )
+
+from helpers import state_space_cap
 
 
 def random_digraph(n, seed, p=0.3):
@@ -274,6 +281,62 @@ class TestRunCounts:
         dec = decide_k_dmlot(D, 4)
         assert (dec.answer, dec.leaves) == ("no", 3)
         assert len(calls) == 4
+
+    def test_dmlob_finds_strong_components_once(self, monkeypatch):
+        calls = []
+        real = digraph._tarjan
+        monkeypatch.setattr(digraph, "_tarjan",
+                            lambda D: calls.append(D) or real(D))
+        assert decide_k_dmlob(_strong_n5(), 4).method == "dp"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("D, k, decompose", [
+        (_strong_n5(), 4, decompose_strong),
+        (gen_random_strong(10, 1, 15), 7, decompose_strong),
+        (gen_random_dag_single_source(8, 1), 5, decompose_acyclic),
+    ])
+    def test_dmlob_decomposes_its_own_local_optimum(self, monkeypatch,
+                                                    D, k, decompose):
+        searches = _count_calls(monkeypatch, "improve_to_1ae")
+        runs = _count_calls(monkeypatch, "dp_max_leaf_run")
+        monkeypatch.setattr(decomposition, "improve_to_1ae", None)
+        dec = decide_k_dmlob(D, k)
+        assert dec.method == "dp" and len(runs) == 1
+        _, roots = has_out_branching(D)
+        assert len(searches) == len(roots)
+        monkeypatch.undo()
+        # the same bags as the decomposition computed on its own
+        assert runs[0][1] == decompose(D, k).decomposition
+
+
+class TestSharedTransitions:
+    """The DP's relabel tables are shared by every run in the process."""
+
+    @staticmethod
+    def caches():
+        return fpt._intro_moves, fpt._forget
+
+    def test_cold_and_warm_runs_agree(self):
+        D = gen_random_strong(10, 1, 15)
+        P = good_pd(D)
+
+        def runs():
+            return [(r.value, r.states_peak, r.witness)
+                    for r in (dp_max_leaf_run(D, P),
+                              dp_max_leaf_run(D, P, 3, lower_bound=4))]
+
+        for cache in self.caches():
+            cache.cache_clear()
+        cold = runs()
+        assert all(c.cache_info().currsize > 0 for c in self.caches())
+        assert all(c.cache_info().hits > 0 for c in self.caches())
+        warm = runs()
+        assert warm == cold
+        assert cold[0][0] is not None and cold[0][2] is not None
+
+    def test_tables_are_bounded(self):
+        for cache in self.caches():
+            assert cache.cache_info().maxsize == fpt.TRANSITION_CACHE_SIZE
 
 
 class TestDeadline:
