@@ -91,24 +91,29 @@ def _spans(bags: Sequence[frozenset[int]]) -> tuple[dict[int, int], dict[int, in
 
 def validate_pd(G: Graph, P: PathDecomposition) -> str | None:
     """None when P satisfies the three path-decomposition axioms for G,
-    else a message naming the first violated axiom and a witness.
+    else a message naming the first violated axiom and a witness."""
+    return _violation(G, P.bags, *_spans(P.bags))
+
+
+def _violation(G: Graph, bags: Sequence[frozenset[int]],
+               first: dict[int, int], last: dict[int, int]) -> str | None:
+    """validate_pd's verdict on bags with spans first, last = _spans(bags),
+    so that tighten validates and reads the spans in one pass.
 
     A vertex is contiguous exactly when its number of bags spans its
     range from first to last bag, and an edge of two contiguous vertices
     is covered exactly when their ranges meet."""
     n = G.n
-    first, last = _spans(P.bags)
     for v in last:
         if not (0 <= v < n):
             return f"bag vertex {v} outside host graph"
     if len(last) < n:
         return f"axiom 1: vertex {min(set(range(n)) - last.keys())} in no bag"
-    count = Counter(chain.from_iterable(P.bags))
+    count = Counter(chain.from_iterable(bags))
     split = {v for v, c in count.items() if c != last[v] - first[v] + 1}
-    for e in G.edges:
-        u, v = sorted(e)
+    for u, v in G.pairs:
         if u in split or v in split:
-            covered = any(u in b and v in b for b in P.bags)
+            covered = any(u in b and v in b for b in bags)
         else:
             covered = first[u] <= last[v] and first[v] <= last[u]
         if not covered:
@@ -161,26 +166,50 @@ def _anchor_edges(G: Graph, first: dict[int, int], last: dict[int, int],
     so the lowest minimiser on [L, R] is the second smallest endpoint
     clamped to [L, R].  An unanchored vertex has the interval
     [-1, nbags], which covers every bag at no cost."""
-    edges = []
-    for e in G.edges:
-        u, v = sorted(e)
-        L = max(first[u], first[v])
-        R = min(last[u], last[v])
-        edges.append((R - L + 1, u, v, L, R))
-    edges.sort()
-    lo = [-1] * G.n
-    hi = [nbags] * G.n
+    # one int per edge, ((R-L)n + u)n + v, orders the edges by
+    # (R-L+1, u, v); L rides along as the lowest digit
+    n = G.n
+    keys = []
+    for u, v in G.pairs:
+        L = first[u]
+        if first[v] > L:
+            L = first[v]
+        R = last[u]
+        if last[v] < R:
+            R = last[v]
+        keys.append((((R - L) * n + u) * n + v) * nbags + L)
+    keys.sort()
+    lo = [-1] * n
+    hi = [nbags] * n
     anchors: dict[tuple[int, int], int] = {}
-    for _, u, v, L, R in edges:
-        j = min(max(min(max(lo[u], lo[v]), hi[u], hi[v]), L), R)
+    for key in keys:
+        key, L = divmod(key, nbags)
+        key, v = divmod(key, n)
+        d, u = divmod(key, n)
+        R = L + d
+        lu, lv, hu, hv = lo[u], lo[v], hi[u], hi[v]
+        j = lu if lu > lv else lv
+        if hu < j:
+            j = hu
+        if hv < j:
+            j = hv
+        if j < L:
+            j = L
+        elif j > R:
+            j = R
         anchors[u, v] = j
-        for x in (u, v):
-            if lo[x] < 0:
-                lo[x] = hi[x] = j
-            elif j < lo[x]:
-                lo[x] = j
-            elif j > hi[x]:
-                hi[x] = j
+        if lu < 0:
+            lo[u] = hi[u] = j
+        elif j < lu:
+            lo[u] = j
+        elif j > hu:
+            hi[u] = j
+        if lv < 0:
+            lo[v] = hi[v] = j
+        elif j < lv:
+            lo[v] = j
+        elif j > hv:
+            hi[v] = j
     return anchors, lo, hi
 
 
@@ -191,9 +220,10 @@ def tighten(G: Graph, P: PathDecomposition) -> PathDecomposition:
     edges with few shared bags are anchored first, later edges pick the
     shared bag that extends the endpoint intervals least.  Width never
     increases.  Runs in O(m log m) plus the size of P."""
-    assert validate_pd(G, P) is None, "tighten requires a valid decomposition"
-    nbags = len(P.bags)
     first, last = _spans(P.bags)
+    assert _violation(G, P.bags, first, last) is None, \
+        "tighten requires a valid decomposition"
+    nbags = len(P.bags)
     _, lo, hi = _anchor_edges(G, first, last, nbags)
     # v keeps bags lo[v]..hi[v], its first bag alone when it has no edge;
     # that range lies inside its original one, so a sweep rebuilds the bags
@@ -268,19 +298,19 @@ def decompose_acyclic(D: Digraph, k: int,
                                 layers=1)
 
     cls = classify(T)
-    W = set(cls.leaves) | set(cls.branches) | set(cls.first_vertices)
+    W = frozenset(chain(cls.leaves, cls.branches, cls.first_vertices))
     # residual: maximal link paths with their first vertex removed
     residual_paths = [p[1:] for p in cls.link_paths if len(p) > 1]
 
     bags: list[frozenset[int]] = []
     for path in residual_paths:
         if len(path) == 1:
-            bags.append(frozenset({path[0]}) | frozenset(W))
+            bags.append(frozenset({path[0]}) | W)
         else:
             for a, b in zip(path, path[1:]):
-                bags.append(frozenset({a, b}) | frozenset(W))
+                bags.append(frozenset({a, b}) | W)
     if not bags:
-        bags.append(frozenset(W))
+        bags.append(W)
     pd = tighten(underlying_graph(D), PathDecomposition(tuple(bags)))
 
     diags: list[str] = []
@@ -311,9 +341,9 @@ class _Tree:
         return ch
 
     def leaf_weight(self) -> int:
-        """Number of vertices with no children (root included if alone)."""
-        ch = self.children()
-        return sum(1 for v in ch if not ch[v])
+        """Number of vertices with no children (root included if alone):
+        every vertex but the distinct parents."""
+        return 1 + len(self.parent) - len(set(self.parent.values()))
 
 
 @dataclass

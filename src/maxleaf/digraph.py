@@ -208,10 +208,6 @@ def serialize(D: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_json(D: Digraph) -> str:
-    return json.dumps({"n": D.n, "arcs": [list(a) for a in sorted(D.arcs)]})
-
-
 def strong_components(D: Digraph) -> StrongComponentIndex:
     """Strong components (iterative Tarjan), computed once per digraph.
 
@@ -364,15 +360,28 @@ def in_class_L(D: Digraph) -> bool:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on dense vertices 0..n-1."""
+    """Simple undirected graph on dense vertices 0..n-1.
+
+    `pairs` holds each edge once as an int pair (u, v) with u < v, so
+    readers need not sort the endpoints of every edge again.
+    underlying_graph fills it; a graph built by hand fills it on first
+    use, in the iteration order of `edges`."""
 
     n: int
     edges: frozenset[frozenset[int]]
+    _pairs: Optional[tuple[tuple[int, int], ...]] = field(
+        default=None, init=False, compare=False, repr=False)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        if self._pairs is None:
+            object.__setattr__(self, "_pairs", tuple(
+                (u, v) if u < v else (v, u) for u, v in self.edges))
+        return self._pairs
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
-        for e in self.edges:
-            u, v = sorted(e)
+        for u, v in self.pairs:
             adj[u].add(v)
             adj[v].add(u)
         return adj
@@ -384,4 +393,7 @@ class Graph:
 
 def underlying_graph(D: Digraph) -> Graph:
     """Undirected view: {u,v} present iff (u,v) or (v,u) is an arc."""
-    return Graph(D.n, frozenset(frozenset(a) for a in D.arcs))
+    pairs = {(u, v) if u < v else (v, u) for u, v in D.arcs}
+    G = Graph(D.n, frozenset(map(frozenset, pairs)))
+    object.__setattr__(G, "_pairs", tuple(pairs))
+    return G

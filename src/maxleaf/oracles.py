@@ -277,8 +277,7 @@ def exact_vertex_separation(G: Graph) -> tuple[int, VertexOrdering]:
     if n == 0:
         return 0, VertexOrdering((), 0)
     nbr = [0] * n
-    for e in G.edges:
-        u, v = e
+    for u, v in G.pairs:
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
 

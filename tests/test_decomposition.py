@@ -19,6 +19,8 @@ from maxleaf.generators import gen_random_strong
 from maxleaf.local_search import bfs_branching, improve_to_1ae
 from maxleaf.oracles import exact_vertex_separation
 
+from helpers import CHECKED_DIGRAPH, INVALID_DECOMPOSITIONS
+
 
 def ugraph(n, edges):
     return Graph(n, frozenset(frozenset(e) for e in edges))
@@ -123,6 +125,20 @@ class TestTighten:
         assert validate_pd(G, slim) is None
         assert slim.width <= fat.width
         assert 3 not in slim.bags[0]
+
+
+class TestTightenChecksItsInput:
+    @pytest.mark.parametrize("message", sorted(INVALID_DECOMPOSITIONS))
+    @pytest.mark.parametrize("hand_built", [False, True])
+    def test_invalid_input_raises(self, message, hand_built):
+        from maxleaf.decomposition import tighten
+        G = underlying_graph(CHECKED_DIGRAPH)
+        if hand_built:
+            G = Graph(G.n, G.edges)
+        P = PathDecomposition(INVALID_DECOMPOSITIONS[message])
+        assert validate_pd(G, P).startswith(message)
+        with pytest.raises(AssertionError):
+            tighten(G, P)
 
 
 def layered_dag(width, depth):

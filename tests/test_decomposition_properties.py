@@ -15,7 +15,7 @@ from maxleaf.decomposition import (
     tighten,
     validate_pd,
 )
-from maxleaf.digraph import Graph
+from maxleaf.digraph import Digraph, Graph, underlying_graph
 
 
 def literal_validate_pd(G, P):
@@ -214,3 +214,87 @@ def test_pick_centroid_matches_per_candidate_components(T):
     assert u == want_u
     assert [(c.root, c.parent) for c in comps] == \
         [(c.root, c.parent) for c in want_comps]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(out_trees())
+def test_leaf_weight_counts_childless_vertices(T):
+    ch = T.children()
+    assert T.leaf_weight() == sum(1 for v in ch if not ch[v])
+
+
+@st.composite
+def digraphs_with_2_cycles(draw):
+    """A digraph in which each adjacent pair is joined one way, the other
+    way or both; at least one pair is joined both ways when n >= 2."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    arcs = set()
+    for i, (u, v) in enumerate(chosen):
+        way = 2 if i == 0 else draw(st.integers(0, 2))
+        if way != 1:
+            arcs.add((u, v))
+        if way != 0:
+            arcs.add((v, u))
+    return Digraph.build(n, arcs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(digraphs_with_2_cycles())
+def test_underlying_graph_pairs_are_the_sorted_edges(D):
+    G = underlying_graph(D)
+    assert all(u < v for u, v in G.pairs)
+    assert len(set(G.pairs)) == len(G.pairs) == G.m
+    assert set(G.pairs) == {tuple(sorted(e)) for e in G.edges}
+
+
+def uncovered(G, P, message):
+    """Whether the edge an axiom-2 message names is in G and in no bag."""
+    u, v = map(int, message[len("axiom 2: edge {"):-len("} in no bag")].split(","))
+    return (frozenset({u, v}) in G.edges
+            and not any(u in b and v in b for b in P.bags))
+
+
+@st.composite
+def decompositions_of_digraphs(draw):
+    """A digraph with 2-cycles and a decomposition of its underlying
+    graph: one an order induces, padded with a vertex set in every bag,
+    then perhaps corrupted by a few vertices dropped or added."""
+    D = draw(digraphs_with_2_cycles())
+    adj = underlying_graph(D).adjacency()
+    order = draw(st.permutations(range(D.n)))
+    pad = frozenset(draw(st.sets(st.integers(0, D.n - 1))))
+    bags = [set(b | pad) for b in _ordering_to_pd(order, adj.__getitem__).bags]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(bags) - 1))
+        if draw(st.booleans()) and bags[i]:
+            bags[i].discard(draw(st.sampled_from(sorted(bags[i]))))
+        else:
+            bags[i].add(draw(st.integers(0, D.n)))
+    return D, PathDecomposition(tuple(frozenset(b) for b in bags))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(decompositions_of_digraphs())
+def test_pair_form_and_lazy_pairs_agree(case):
+    """validate_pd and tighten read the same edges from underlying_graph's
+    pairs as from the pairs a hand-built graph fills on first use.  The
+    two hold the edges in different orders, so an axiom-2 message may
+    name a different uncovered edge; every other verdict is equal."""
+    D, P = case
+    G = underlying_graph(D)
+    H = Graph(D.n, G.edges)
+    assert H._pairs is None  # filled on first use
+    got, want = validate_pd(G, P), validate_pd(H, P)
+    if got is not None and got.startswith("axiom 2") and want.startswith("axiom 2"):
+        assert uncovered(G, P, got) and uncovered(G, P, want)
+    else:
+        assert got == want
+    if got is None:
+        assert tighten(G, P) == tighten(H, P)
+    else:
+        with pytest.raises(AssertionError):
+            tighten(G, P)
+        with pytest.raises(AssertionError):
+            tighten(H, P)

@@ -12,10 +12,11 @@ from maxleaf.digraph import (
     reachable_set,
     reachable_subdigraph,
     serialize,
-    serialize_json,
     strong_components,
     underlying_graph,
 )
+
+from helpers import serialize_json
 
 
 def build(n, arcs):

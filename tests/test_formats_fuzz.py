@@ -16,8 +16,9 @@ from maxleaf.digraph import (
     Graph,
     parse,
     serialize,
-    serialize_json,
 )
+
+from helpers import serialize_json
 
 FUZZ = settings(max_examples=500, deadline=None, derandomize=True)
 

@@ -32,7 +32,7 @@ from maxleaf.oracles import (
     naive_max_leaf_branching,
 )
 
-from helpers import state_space_cap
+from helpers import CHECKED_DIGRAPH, INVALID_DECOMPOSITIONS, state_space_cap
 
 
 def random_digraph(n, seed, p=0.3):
@@ -162,6 +162,12 @@ class TestDpAgainstReference:
         bogus = PathDecomposition((frozenset({0, 1}),))
         with pytest.raises(ValueError, match="invalid decomposition"):
             dp_max_leaf(D, bogus, 0)
+
+    @pytest.mark.parametrize("message", sorted(INVALID_DECOMPOSITIONS))
+    def test_dp_run_rejects_each_invalid_decomposition(self, message):
+        P = PathDecomposition(INVALID_DECOMPOSITIONS[message])
+        with pytest.raises(ValueError, match=f"invalid decomposition: {message}"):
+            dp_max_leaf_run(CHECKED_DIGRAPH, P)
 
     def test_bad_root_rejected(self):
         D = Digraph.build(2, [(0, 1)])
