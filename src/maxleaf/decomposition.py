@@ -28,7 +28,7 @@ from .digraph import (
     is_strongly_connected,
     underlying_graph,
 )
-from .local_search import bfs_branching, improve_to_1ae
+from .local_search import _bfs_1ae
 from .oracles import VertexOrdering
 
 
@@ -280,7 +280,7 @@ def decompose_acyclic(D: Digraph, k: int,
     root = sources[0]
 
     if T is None:
-        T = improve_to_1ae(D, bfs_branching(D, root))
+        T = _bfs_1ae(D, root)
     if leaf_count(T) >= k:
         return DecomposeOutcome(witness=T)
 
@@ -603,7 +603,7 @@ def decompose_strong(D: Digraph, k: int, assume_premise: bool = False,
 
     if T is None:
         _, roots = has_out_branching(D)
-        T = improve_to_1ae(D, bfs_branching(D, min(roots)))
+        T = _bfs_1ae(D, min(roots))
     if leaf_count(T) >= k:
         return DecomposeOutcome(witness=T)
 

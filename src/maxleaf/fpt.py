@@ -43,7 +43,7 @@ from .digraph import (
     strong_components,
     underlying_graph,
 )
-from .local_search import bfs_branching, improve_to_1ae
+from .local_search import _bfs_1ae
 from .oracles import BudgetExhausted
 
 
@@ -347,7 +347,7 @@ def decide_k_dmlob(D: Digraph, k: int, assume_supported: bool = False,
     best: Optional[OutBranching] = None
     lb = 0
     for root in sorted(roots):
-        T = improve_to_1ae(D, bfs_branching(D, root))
+        T = _bfs_1ae(D, root)
         leaves = leaf_count(T)
         if leaves >= k:
             return Decision("yes", k, leaves=leaves, witness=T,

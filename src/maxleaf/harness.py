@@ -14,7 +14,7 @@ from .branching import OutBranching, classify, leaf_count
 from .decomposition import decompose_strong, validate_pd, layer_bound
 from .digraph import Digraph, has_out_branching, is_strongly_connected, underlying_graph
 from .generators import InstanceSpec, generate
-from .local_search import best_of_restarts, bfs_branching, improve_to_1ae, is_1ae_optimal
+from .local_search import _bfs_1ae, best_of_restarts, improve_to_1ae, is_1ae_optimal
 from .oracles import BudgetExhausted, exact_max_leaf_branching, exact_max_leaf_tree
 
 
@@ -241,7 +241,7 @@ def verify_lemma2(specs: Sequence[InstanceSpec],
     for spec in specs:
         D = generate(spec)
         _, roots = has_out_branching(D)
-        T = improve_to_1ae(D, bfs_branching(D, min(roots)))
+        T = _bfs_1ae(D, min(roots))
         longest = max(classify(T).link_paths, key=len, default=())
         D2 = prune_to_in_degree_2(D, T, longest)
         for r in verify_lemma2_structure(D2, improve_to_1ae(D2, T),

@@ -7,9 +7,17 @@ out-degree 1 and adds an arc out of an internal vertex: either (a, v)
 from outside v's subtree, or (a, root) from inside it, which re-roots
 the tree at v.  ``_first_improving_1ae_move`` visits the out-degree-1
 vertices p in increasing order and stops at the first that has such a
-swap; ``improve_to_1ae`` applies that swap in place until none is
-left and
-``is_1ae_optimal`` certifies with it.
+swap; ``is_1ae_optimal`` certifies with it.
+
+Every descent runs in one place, ``_descend``, which applies that swap
+in place to a parent list and child lists until none is left.  Start
+trees come from one builder, ``_start``, which fills both lists in a
+single BFS or DFS pass; ``bfs_branching`` and ``dfs_branching`` wrap it.
+A tree is validated where it leaves the module: ``improve_to_1ae``
+validates its input and its result, ``best_of_restarts`` ranks its
+starts on the bare lists and validates only the tree it returns or
+hands to BudgetExhausted, and ``_bfs_1ae`` (the one-start descent that
+decisions and decompositions use) validates its result.
 ``check_structural_conditions`` verifies the three necessary structural
 conditions that 1-AE optimal branchings satisfy.
 """
@@ -173,23 +181,18 @@ def is_1ae_optimal(D: Digraph, T: OutBranching) -> Certificate:
     return Certificate("improvable", move)
 
 
-def improve_to_1ae(D: Digraph, T0: OutBranching) -> OutBranching:
-    """Repeatedly apply the first improving 1-exchange (lexicographic arc
-    order) until none exists.  Leaf count increases each step, so at most
-    n - 2 steps are taken.
+def _descend(D: Digraph, root: int, parent: list[int], ch: list[list[int]]) -> int:
+    """Apply the first improving 1-exchange in place to a parent list and
+    child lists until none is left; returns the final root.
 
-    The swaps are applied in place to a parent list and to child lists
-    kept across moves: the finder proves each swap valid, and it empties
-    p's child list and adds one child to a.  The tree is validated on
-    entry and once more on return."""
-    require_valid(D, T0)
-    n, root = T0.n, T0.root
-    parent = list(T0.parent)
-    ch = T0.children()
+    The finder proves each swap valid; a swap empties p's child list and
+    adds one child to a.  Leaf count increases each step, so at most
+    n - 2 steps are taken."""
+    n = D.n
     while True:
         found = _improving_swap(D, n, root, parent, ch)
         if found is None:
-            break
+            return root
         p, v, (a, b) = found
         ch[p] = []
         ch[a].append(b)
@@ -197,9 +200,67 @@ def improve_to_1ae(D: Digraph, T0: OutBranching) -> OutBranching:
         if b != v:  # (a, root): re-root at v
             parent[v] = -1
             root = v
-    T = OutBranching(n, root, tuple(parent))
+
+
+def _validated(D: Digraph, root: int, parent: Sequence[int]) -> OutBranching:
+    """The tree given by root and parent list, validated as it leaves."""
+    T = OutBranching(D.n, root, tuple(parent))
     require_valid(D, T)
     return T
+
+
+def improve_to_1ae(D: Digraph, T0: OutBranching) -> OutBranching:
+    """Repeatedly apply the first improving 1-exchange (lexicographic arc
+    order) until none exists.  The tree is validated on entry and once
+    more on return."""
+    require_valid(D, T0)
+    parent = list(T0.parent)
+    root = _descend(D, T0.root, parent, T0.children())
+    return _validated(D, root, parent)
+
+
+def _start(D: Digraph, root: int, rng: random.Random | None,
+           bfs: bool) -> tuple[list[int], list[list[int]]]:
+    """Parent list and child lists of the BFS (bfs true) or DFS
+    out-branching from root, filled in one pass.  With rng each
+    out-neighbor list is shuffled by the draws of ``random.Random.shuffle``,
+    inlined: Fisher-Yates from the back, slot m - 1 swapped with
+    ``getrandbits(m.bit_length())`` redrawn while >= m.  Root must reach
+    all vertices."""
+    n = D.n
+    out_adj = D.out_adj
+    getrandbits = rng.getrandbits if rng is not None else None
+    parent = [-1] * n
+    ch: list[list[int]] = [[] for _ in range(n)]
+    seen = [False] * n
+    seen[root] = True
+    todo = [root]
+    i = 0
+    while i < len(todo):  # DFS pops from the back and leaves i at 0
+        if bfs:
+            u = todo[i]
+            i += 1
+        else:
+            u = todo.pop()
+        nbrs = out_adj[u]
+        if getrandbits is not None and len(nbrs) > 1:
+            nbrs = list(nbrs)
+            for m in range(len(nbrs), 1, -1):
+                k = m.bit_length()
+                j = getrandbits(k)
+                while j >= m:
+                    j = getrandbits(k)
+                nbrs[m - 1], nbrs[j] = nbrs[j], nbrs[m - 1]
+        kids = ch[u]
+        for w in nbrs:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = u
+                kids.append(w)
+                todo.append(w)
+    if not all(seen):
+        raise ValueError(f"root {root} does not reach all vertices")
+    return parent, ch
 
 
 def bfs_branching(D: Digraph, root: int,
@@ -208,46 +269,22 @@ def bfs_branching(D: Digraph, root: int,
 
     Root must reach all vertices.
     """
-    parent = [-1] * D.n
-    seen = [False] * D.n
-    seen[root] = True
-    queue = [root]
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
-        nbrs = list(D.out_adj[u])
-        if rng is not None:
-            rng.shuffle(nbrs)
-        for w in nbrs:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                queue.append(w)
-    if not all(seen):
-        raise ValueError(f"root {root} does not reach all vertices")
+    parent, _ = _start(D, root, rng, True)
     return OutBranching(D.n, root, tuple(parent))
 
 
 def dfs_branching(D: Digraph, root: int,
                   rng: random.Random | None = None) -> OutBranching:
-    parent = [-1] * D.n
-    seen = [False] * D.n
-    seen[root] = True
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        nbrs = list(D.out_adj[u])
-        if rng is not None:
-            rng.shuffle(nbrs)
-        for w in nbrs:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                stack.append(w)
-    if not all(seen):
-        raise ValueError(f"root {root} does not reach all vertices")
+    """DFS out-branching from root, like ``bfs_branching``."""
+    parent, _ = _start(D, root, rng, False)
     return OutBranching(D.n, root, tuple(parent))
+
+
+def _bfs_1ae(D: Digraph, root: int) -> OutBranching:
+    """``improve_to_1ae(D, bfs_branching(D, root))`` without validating the
+    fresh start tree: validated once, on return."""
+    parent, ch = _start(D, root, None, True)
+    return _validated(D, _descend(D, root, parent, ch), parent)
 
 
 def best_of_restarts(D: Digraph, roots: Iterable[int], starts_per_root: int,
@@ -258,23 +295,25 @@ def best_of_restarts(D: Digraph, roots: Iterable[int], starts_per_root: int,
     Every root must reach all vertices, or the first start from it
     raises ValueError.  With a deadline (a time.monotonic() value) the
     clock is read between starts, so the first start always runs; past
-    the deadline BudgetExhausted carries the best tree so far.
+    the deadline BudgetExhausted carries the best tree so far.  Starts
+    are ranked on their parent and child lists; only the tree that
+    leaves is built and validated.
     """
     roots = sorted(set(roots))
     if not roots:
         raise ValueError("empty root set")
     if starts_per_root < 1:
         raise ValueError(f"starts_per_root must be at least 1, got {starts_per_root}")
-    best: OutBranching | None = None
-    best_key: tuple | None = None
+    best: tuple | None = None  # (-leaves, root, parent tuple)
     for root in roots:
         for s in range(starts_per_root):
             if deadline is not None and best is not None and time.monotonic() > deadline:
-                raise BudgetExhausted(leaf_count(best), best)
+                T = _validated(D, best[1], best[2])
+                raise BudgetExhausted(leaf_count(T), T)
             rng = random.Random(seed * 1000003 + root * 8191 + s)
-            start = bfs_branching(D, root, rng) if s % 2 == 0 else dfs_branching(D, root, rng)
-            T = improve_to_1ae(D, start)
-            key = (-leaf_count(T), T.root, T.parent)
-            if best_key is None or key < best_key:
-                best, best_key = T, key
-    return best
+            parent, ch = _start(D, root, rng, s % 2 == 0)
+            r = _descend(D, root, parent, ch)
+            key = (-ch.count([]), r, tuple(parent))
+            if best is None or key < best:
+                best = key
+    return _validated(D, best[1], best[2])

@@ -303,9 +303,9 @@ class TestRunCounts:
     ])
     def test_dmlob_decomposes_its_own_local_optimum(self, monkeypatch,
                                                     D, k, decompose):
-        searches = _count_calls(monkeypatch, "improve_to_1ae")
+        searches = _count_calls(monkeypatch, "_bfs_1ae")
         runs = _count_calls(monkeypatch, "dp_max_leaf_run")
-        monkeypatch.setattr(decomposition, "improve_to_1ae", None)
+        monkeypatch.setattr(decomposition, "_bfs_1ae", None)
         dec = decide_k_dmlob(D, k)
         assert dec.method == "dp" and len(runs) == 1
         _, roots = has_out_branching(D)

@@ -4,13 +4,16 @@ import time
 
 import pytest
 
-from maxleaf.branching import OutBranching, leaf_count, validate
+from maxleaf import local_search
+from maxleaf.branching import BranchingError, OutBranching, leaf_count, validate
 from maxleaf.digraph import Digraph, has_out_branching
 from maxleaf.generators import gen_random_strong, gen_random_strong_min_in3
 from maxleaf.local_search import (
     Certificate,
     ExchangeMove,
+    _bfs_1ae,
     _first_improving_1ae_move,
+    _start,
     best_of_restarts,
     bfs_branching,
     check_structural_conditions,
@@ -119,6 +122,62 @@ def deep_dfs_branching(D, root, rng):
         rng.shuffle(nbrs)
         stack.extend((w, u) for w in nbrs if not seen[w])
     return OutBranching(D.n, root, tuple(parent))
+
+
+def reference_bfs_branching(D, root, rng=None):
+    """bfs_branching as it was before the one-pass builder: a queue, and
+    each out-neighbor list shuffled by rng.shuffle."""
+    parent = [-1] * D.n
+    seen = [False] * D.n
+    seen[root] = True
+    queue = [root]
+    i = 0
+    while i < len(queue):
+        u = queue[i]
+        i += 1
+        nbrs = list(D.out_adj[u])
+        if rng is not None:
+            rng.shuffle(nbrs)
+        for w in nbrs:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = u
+                queue.append(w)
+    return OutBranching(D.n, root, tuple(parent))
+
+
+def reference_dfs_branching(D, root, rng=None):
+    """dfs_branching as it was before the one-pass builder."""
+    parent = [-1] * D.n
+    seen = [False] * D.n
+    seen[root] = True
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        nbrs = list(D.out_adj[u])
+        if rng is not None:
+            rng.shuffle(nbrs)
+        for w in nbrs:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = u
+                stack.append(w)
+    return OutBranching(D.n, root, tuple(parent))
+
+
+def reference_restarts(D, roots, starts_per_root, seed):
+    """best_of_restarts as the composition of the public pieces: the least
+    (-leaves, root, parent) over improve_to_1ae of every seeded start."""
+    best = None
+    for root in sorted(set(roots)):
+        for s in range(starts_per_root):
+            rng = random.Random(seed * 1000003 + root * 8191 + s)
+            build = reference_bfs_branching if s % 2 == 0 else reference_dfs_branching
+            T = improve_to_1ae(D, build(D, root, rng))
+            key = (-leaf_count(T), T.root, T.parent)
+            if best is None or key < best[0]:
+                best = (key, T)
+    return best[1]
 
 
 class TestApplyMove:
@@ -308,6 +367,35 @@ class TestTraversals:
         with pytest.raises(ValueError, match="reach"):
             bfs_branching(D, 2)
 
+    def test_inlined_draw_matches_shuffle(self):
+        # root 0 of a star has out-neighbors 1..length, every other vertex
+        # one; the root's child list is its shuffled neighbor list, and the
+        # generator is left in the same state as after rng.shuffle
+        for length in range(81):
+            D = Digraph.build(length + 1, [(0, v) for v in range(1, length + 1)]
+                              + [(v, 0) for v in range(1, length + 1)])
+            for seed in range(300):
+                rng, ref = random.Random(seed), random.Random(seed)
+                _, ch = _start(D, 0, rng, True)
+                nbrs = list(D.out_adj[0])
+                ref.shuffle(nbrs)
+                assert ch[0] == nbrs, (length, seed)
+                assert rng.getrandbits(64) == ref.getrandbits(64), (length, seed)
+
+    def test_same_trees_as_reference_builders(self):
+        for i in range(24):
+            n = (5, 12, 30, 80)[i % 4]
+            D = (gen_random_strong(n, 300 + i, (3, 10, 20)[i % 3]) if i % 2 == 0
+                 else gen_random_strong_min_in3(n, 300 + i))
+            for root in range(0, n, max(1, n // 6)):
+                assert bfs_branching(D, root) == reference_bfs_branching(D, root)
+                assert dfs_branching(D, root) == reference_dfs_branching(D, root)
+                for seed in range(3):
+                    assert (bfs_branching(D, root, random.Random(seed))
+                            == reference_bfs_branching(D, root, random.Random(seed)))
+                    assert (dfs_branching(D, root, random.Random(seed))
+                            == reference_dfs_branching(D, root, random.Random(seed)))
+
 
 class TestBestOfRestarts:
     def test_deterministic(self):
@@ -358,6 +446,53 @@ class TestBestOfRestarts:
         first = best_of_restarts(D, [0], 1, seed=5)
         assert info.value.witness == first
         assert info.value.best_value == leaf_count(first)
+
+    def test_matches_composition_of_public_pieces(self):
+        for i in range(12):
+            n = (30, 60, 120, 200)[i % 4]
+            D = (gen_random_strong(n, 500 + i, (3, 5, 10)[i % 3]) if i % 2 == 0
+                 else gen_random_strong_min_in3(n, 500 + i))
+            rng = random.Random(i)
+            roots = rng.sample(range(n), 4)
+            starts = 1 + i % 3
+            deadline = time.monotonic() + 600 if i % 2 else None
+            assert (best_of_restarts(D, roots, starts, seed=i, deadline=deadline)
+                    == reference_restarts(D, roots, starts, seed=i)), i
+
+    def test_bfs_descent_matches_composition(self):
+        for i in range(6):
+            D = gen_random_strong(40, 600 + i, 10)
+            for root in range(0, 40, 7):
+                assert _bfs_1ae(D, root) == improve_to_1ae(D, bfs_branching(D, root))
+
+    @staticmethod
+    def corrupt_descent(monkeypatch):
+        # a descent that leaves one vertex its own parent
+        real = local_search._descend
+
+        def corrupt(D, root, parent, ch):
+            root = real(D, root, parent, ch)
+            v = 1 if root == 0 else 0
+            parent[v] = v
+            return root
+
+        monkeypatch.setattr(local_search, "_descend", corrupt)
+
+    def test_returned_tree_is_validated(self, monkeypatch):
+        D = random_strong(11, 9)
+        self.corrupt_descent(monkeypatch)
+        with pytest.raises(BranchingError):
+            best_of_restarts(D, range(11), 2, seed=5)
+        with pytest.raises(BranchingError):
+            _bfs_1ae(D, 0)
+        with pytest.raises(BranchingError):
+            improve_to_1ae(D, bfs_branching(D, 0))
+
+    def test_tree_carried_past_deadline_is_validated(self, monkeypatch):
+        D = random_strong(11, 9)
+        self.corrupt_descent(monkeypatch)
+        with pytest.raises(BranchingError):
+            best_of_restarts(D, range(11), 2, seed=5, deadline=time.monotonic() - 1)
 
     def test_golden_results(self):
         # SHA-256 of the results on a seeded corpus, recorded with the
