@@ -62,17 +62,13 @@ class OutBranching:
                 order.append(w)
         return d
 
+    def to_dict(self) -> dict:
+        return {"root": self.root,
+                "parent": {str(v): self.parent[v] for v in range(self.n)
+                           if v != self.root}}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "root": self.root,
-                "parent": {
-                    str(v): self.parent[v]
-                    for v in range(self.n)
-                    if v != self.root
-                },
-            }
-        )
+        return json.dumps(self.to_dict())
 
     @staticmethod
     def from_json(text: str, n: int) -> "OutBranching":

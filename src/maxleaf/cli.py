@@ -139,7 +139,7 @@ def _solve(args, D: Digraph, budget: float) -> int:
         value, T = exact_max_leaf_branching(D, budget)
         out = {"leaves": value, "witness": None}
         if T is not None:
-            out["witness"] = json.loads(T.to_json())
+            out["witness"] = T.to_dict()
         print(json.dumps(out))
         return EXIT_OK
     if args.local:
@@ -149,7 +149,7 @@ def _solve(args, D: Digraph, budget: float) -> int:
             return EXIT_NO
         T = best_of_restarts(D, roots, 2, args.seed, deadline)
         print(json.dumps({"leaves": leaf_count(T),
-                          "witness": json.loads(T.to_json())}))
+                          "witness": T.to_dict()}))
         return EXIT_OK
     dec = decide_k_dmlob(D, args.k, deadline=deadline)
     print(json.dumps(dec.to_dict()))
@@ -171,7 +171,7 @@ def _cmd_decompose(args) -> int:
     if out.witness is not None:
         print(json.dumps({"kind": "witness",
                           "leaves": leaf_count(out.witness),
-                          "witness": json.loads(out.witness.to_json())}))
+                          "witness": out.witness.to_dict()}))
         return EXIT_OK
     text = out.decomposition.to_text()
     if args.out:

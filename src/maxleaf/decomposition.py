@@ -152,10 +152,9 @@ def _ordering_to_pd(order: Sequence[int],
 
 
 def _anchor_edges(G: Graph, first: dict[int, int], last: dict[int, int],
-                  nbags: int
-                  ) -> tuple[dict[tuple[int, int], int], list[int], list[int]]:
-    """The bag tighten anchors each edge {u,v} (u < v) at, and the
-    interval [lo, hi] of anchors of every vertex (-1, nbags if none).
+                  nbags: int) -> tuple[list[int], list[int]]:
+    """The interval [lo, hi] of the bags tighten anchors the edges of
+    every vertex at (-1, nbags if it has no edge).
 
     The shared bags of an edge are [L, R] = [max first, min last].  Edges
     are anchored in order of (R-L+1, u, v), each at the lowest bag of
@@ -181,7 +180,6 @@ def _anchor_edges(G: Graph, first: dict[int, int], last: dict[int, int],
     keys.sort()
     lo = [-1] * n
     hi = [nbags] * n
-    anchors: dict[tuple[int, int], int] = {}
     for key in keys:
         key, L = divmod(key, nbags)
         key, v = divmod(key, n)
@@ -197,7 +195,6 @@ def _anchor_edges(G: Graph, first: dict[int, int], last: dict[int, int],
             j = L
         elif j > R:
             j = R
-        anchors[u, v] = j
         if lu < 0:
             lo[u] = hi[u] = j
         elif j < lu:
@@ -210,7 +207,7 @@ def _anchor_edges(G: Graph, first: dict[int, int], last: dict[int, int],
             lo[v] = j
         elif j > hv:
             hi[v] = j
-    return anchors, lo, hi
+    return lo, hi
 
 
 def tighten(G: Graph, P: PathDecomposition) -> PathDecomposition:
@@ -224,7 +221,7 @@ def tighten(G: Graph, P: PathDecomposition) -> PathDecomposition:
     assert _violation(G, P.bags, first, last) is None, \
         "tighten requires a valid decomposition"
     nbags = len(P.bags)
-    _, lo, hi = _anchor_edges(G, first, last, nbags)
+    lo, hi = _anchor_edges(G, first, last, nbags)
     # v keeps bags lo[v]..hi[v], its first bag alone when it has no edge;
     # that range lies inside its original one, so a sweep rebuilds the bags
     enter: list[list[int]] = [[] for _ in range(nbags + 1)]

@@ -360,24 +360,11 @@ def in_class_L(D: Digraph) -> bool:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on dense vertices 0..n-1.
-
-    `pairs` holds each edge once as an int pair (u, v) with u < v, so
-    readers need not sort the endpoints of every edge again.
-    underlying_graph fills it; a graph built by hand fills it on first
-    use, in the iteration order of `edges`."""
+    """Simple undirected graph on dense vertices 0..n-1, holding each
+    edge once as an int pair (u, v) with u < v."""
 
     n: int
-    edges: frozenset[frozenset[int]]
-    _pairs: Optional[tuple[tuple[int, int], ...]] = field(
-        default=None, init=False, compare=False, repr=False)
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        if self._pairs is None:
-            object.__setattr__(self, "_pairs", tuple(
-                (u, v) if u < v else (v, u) for u, v in self.edges))
-        return self._pairs
+    pairs: tuple[tuple[int, int], ...]
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
@@ -388,12 +375,9 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.pairs)
 
 
 def underlying_graph(D: Digraph) -> Graph:
     """Undirected view: {u,v} present iff (u,v) or (v,u) is an arc."""
-    pairs = {(u, v) if u < v else (v, u) for u, v in D.arcs}
-    G = Graph(D.n, frozenset(map(frozenset, pairs)))
-    object.__setattr__(G, "_pairs", tuple(pairs))
-    return G
+    return Graph(D.n, tuple({(u, v) if u < v else (v, u) for u, v in D.arcs}))

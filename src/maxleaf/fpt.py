@@ -99,17 +99,6 @@ class DPRun:
     states_peak: int
 
 
-def dp_max_leaf(D: Digraph, P: PathDecomposition,
-                root: Optional[int] = None) -> Optional[tuple[int, OutBranching]]:
-    """Exact maximum leaf count over out-branchings of D rooted at root
-    (at any vertex when root is None), with a witness; None when no such
-    out-branching exists."""
-    run = dp_max_leaf_run(D, P, root)
-    if run.value is None:
-        return None
-    return run.value, run.witness
-
-
 def _canonical(raw) -> tuple[int, ...]:
     """Relabel blocks 1, 2, ... in order of first occurrence; 0 (a free
     slot) stays 0.  Equal label tuples come back as one shared object."""
@@ -157,7 +146,9 @@ def _forget(labels: tuple[int, ...], s: int) -> tuple[tuple[int, ...], bool]:
 def dp_max_leaf_run(D: Digraph, P: PathDecomposition,
                     root: Optional[int] = None, lower_bound: int = 0,
                     deadline: Optional[float] = None) -> DPRun:
-    """The DP of dp_max_leaf, with its peak table size.
+    """Exact maximum leaf count over out-branchings of D rooted at root
+    (at any vertex when root is None), with a witness and the peak table
+    size; value and witness are None when no such out-branching exists.
 
     States that cannot reach lower_bound leaves are dropped.  Past
     deadline (a time.monotonic() value) the run raises BudgetExhausted
@@ -307,11 +298,7 @@ class Decision:
                "states_peak": self.states_peak}
         w = self.witness
         if isinstance(w, OutBranching):
-            out["witness"] = {
-                "root": w.root,
-                "parent": {str(v): w.parent[v] for v in range(w.n)
-                           if v != w.root},
-            }
+            out["witness"] = w.to_dict()
         elif isinstance(w, OutTree):
             out["witness"] = {
                 "root": w.root,

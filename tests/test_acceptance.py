@@ -176,7 +176,7 @@ def test_criterion_6_extremal_family_and_golden_value():
 
 def test_criterion_7_pathwidth_known_values():
     def ugraph(n, edges):
-        return Graph(n, frozenset(frozenset(e) for e in edges))
+        return Graph(n, tuple((u, v) if u < v else (v, u) for u, v in edges))
 
     cases = []
     for n in range(2, 11):

@@ -34,6 +34,9 @@ def write_graph(tmp_path, D, name="g.txt"):
     return str(p)
 
 
+RANDOM_STRONG_9 = generate(InstanceSpec("random_strong", (("n", 9), ("pct", 20)), 4))
+
+
 @pytest.fixture
 def k4_path(tmp_path):
     from maxleaf.digraph import Digraph
@@ -163,6 +166,28 @@ class TestSolve:
         assert "error" in err
 
 
+WITNESS_8_LEAVES_4 = ('{"root": 8, "parent": {"0": 1, "1": 4, "2": 3, "3": 8, '
+                      '"4": 8, "5": 7, "6": 3, "7": 1}}')
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["solve", "--exact"],
+     '{"leaves": 4, "witness": {"root": 1, "parent": {"0": 1, "2": 3, "3": 0, '
+     '"4": 1, "5": 7, "6": 2, "7": 1, "8": 2}}}\n'),
+    (["solve", "--local"],
+     '{"leaves": 4, "witness": {"root": 1, "parent": {"0": 1, "2": 3, "3": 5, '
+     '"4": 1, "5": 7, "6": 5, "7": 1, "8": 2}}}\n'),
+    (["decompose", "--mode", "strong", "--k", "2"],
+     '{"kind": "witness", "leaves": 4, "witness": ' + WITNESS_8_LEAVES_4 + '}\n'),
+    (["solve", "--fpt", "--k", "3"],
+     '{"answer": "yes", "k": 3, "leaves": 4, "witness": ' + WITNESS_8_LEAVES_4
+     + ', "method": "local-search", "width": null, "states_peak": null}\n'),
+])
+def test_witness_output_pinned(capsys, tmp_path, argv, stdout):
+    p = write_graph(tmp_path, RANDOM_STRONG_9)
+    assert run(capsys, *argv, p) == (EXIT_OK, stdout, "")
+
+
 class TestDecompose:
     def test_strong_witness(self, capsys, k4_path):
         code, out, _ = run(capsys, "decompose", "--mode", "strong",
@@ -209,6 +234,21 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--pd", cycle_path, str(bad))
         assert code == EXIT_USAGE
         assert "axiom" in err
+
+    @pytest.mark.parametrize("bags, message", [
+        # eight edges in no bag: the first in the order underlying_graph
+        # holds them is named, and it is not the least one, {0,6}
+        ("0 1 2 3\n4 5 6 7 8\n", "axiom 2: edge {3,8} in no bag"),
+        # vertices 2 and 5 are each in bags 0 and 2 only
+        ("0 1 2 3 4 5 6 7 8\n0\n0 5 2\n",
+         "axiom 3: vertex 2 occurs non-contiguously"),
+    ])
+    def test_pd_invalid_message_pinned(self, capsys, tmp_path, bags, message):
+        p = write_graph(tmp_path, RANDOM_STRONG_9)
+        art = tmp_path / "bad.pd"
+        art.write_text(bags)
+        assert run(capsys, "check", "--pd", p, str(art)) == \
+            (EXIT_USAGE, "", f"invalid: {message}\n")
 
     def test_pd_blank_line_is_empty_bag(self, capsys, tmp_path):
         from maxleaf.digraph import Digraph

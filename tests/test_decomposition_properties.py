@@ -28,8 +28,7 @@ def literal_validate_pd(G, P):
     missing = set(range(G.n)) - covered
     if missing:
         return f"axiom 1: vertex {min(missing)} in no bag"
-    for e in G.edges:
-        u, v = sorted(e)
+    for u, v in G.pairs:
         if not any(u in b and v in b for b in P.bags):
             return f"axiom 2: edge {{{u},{v}}} in no bag"
     for v in range(G.n):
@@ -40,7 +39,9 @@ def literal_validate_pd(G, P):
 
 
 def literal_tighten(G, P):
-    """Anchor per edge and result of tighten, by scanning every shared bag."""
+    """The interval [lo, hi] of the bags the edges of every vertex are
+    anchored at (-1, len(P.bags) if it has no edge), and the result of
+    tighten, by scanning every shared bag."""
     occ = {}
     for i, b in enumerate(P.bags):
         for v in b:
@@ -57,22 +58,28 @@ def literal_tighten(G, P):
         hi[v] = max(hi.get(v, j), j)
 
     edges = []
-    for e in G.edges:
-        u, v = sorted(e)
+    for u, v in G.pairs:
         common = [i for i in occ[u] if i in set(occ[v])]
         edges.append((len(common), u, v, common))
-    anchors = {}
     for _, u, v, common in sorted(edges):
         j = min(common, key=lambda i: (cost(u, i) + cost(v, i), i))
-        anchors[u, v] = j
         commit(u, j)
         commit(v, j)
+    intervals = ([lo.get(v, -1) for v in range(G.n)],
+                 [hi.get(v, len(P.bags)) for v in range(G.n)])
     for v in occ:
         if v not in lo:
             commit(v, occ[v][0])
     bags = tuple(frozenset(v for v in b if lo[v] <= i <= hi[v])
                  for i, b in enumerate(P.bags))
-    return anchors, PathDecomposition(tuple(b for b in bags if b) or (frozenset(),))
+    return intervals, PathDecomposition(tuple(b for b in bags if b) or (frozenset(),))
+
+
+def assert_tightens_as_literal(G, P):
+    want_intervals, want = literal_tighten(G, P)
+    first, last = _spans(P.bags)
+    assert _anchor_edges(G, first, last, len(P.bags)) == want_intervals
+    assert tighten(G, P) == want
 
 
 @st.composite
@@ -90,7 +97,7 @@ def valid_decompositions(draw):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     bags = tuple(frozenset(v for v in range(n) if spans[v][0] <= i <= spans[v][1])
                  for i in range(nbags))
-    return Graph(n, frozenset(frozenset(e) for e in edges)), PathDecomposition(bags)
+    return Graph(n, tuple(edges)), PathDecomposition(bags)
 
 
 @st.composite
@@ -120,12 +127,7 @@ def corrupted_decompositions(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(valid_decompositions())
 def test_tighten_anchors_each_edge_at_the_literal_minimiser(case):
-    G, P = case
-    want_anchors, want = literal_tighten(G, P)
-    first, last = _spans(P.bags)
-    anchors, _, _ = _anchor_edges(G, first, last, len(P.bags))
-    assert anchors == want_anchors
-    assert tighten(G, P) == want
+    assert_tightens_as_literal(*case)
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
@@ -244,16 +246,10 @@ def digraphs_with_2_cycles(draw):
 @given(digraphs_with_2_cycles())
 def test_underlying_graph_pairs_are_the_sorted_edges(D):
     G = underlying_graph(D)
+    assert G.n == D.n
     assert all(u < v for u, v in G.pairs)
     assert len(set(G.pairs)) == len(G.pairs) == G.m
-    assert set(G.pairs) == {tuple(sorted(e)) for e in G.edges}
-
-
-def uncovered(G, P, message):
-    """Whether the edge an axiom-2 message names is in G and in no bag."""
-    u, v = map(int, message[len("axiom 2: edge {"):-len("} in no bag")].split(","))
-    return (frozenset({u, v}) in G.edges
-            and not any(u in b and v in b for b in P.bags))
+    assert set(G.pairs) == {(min(a), max(a)) for a in D.arcs}
 
 
 @st.composite
@@ -277,24 +273,15 @@ def decompositions_of_digraphs(draw):
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(decompositions_of_digraphs())
-def test_pair_form_and_lazy_pairs_agree(case):
-    """validate_pd and tighten read the same edges from underlying_graph's
-    pairs as from the pairs a hand-built graph fills on first use.  The
-    two hold the edges in different orders, so an axiom-2 message may
-    name a different uncovered edge; every other verdict is equal."""
+def test_underlying_graph_matches_the_literal_oracles(case):
+    """validate_pd and tighten on underlying_graph(D), whose 2-cycles are
+    single edges, against their literal definitions."""
     D, P = case
     G = underlying_graph(D)
-    H = Graph(D.n, G.edges)
-    assert H._pairs is None  # filled on first use
-    got, want = validate_pd(G, P), validate_pd(H, P)
-    if got is not None and got.startswith("axiom 2") and want.startswith("axiom 2"):
-        assert uncovered(G, P, got) and uncovered(G, P, want)
-    else:
-        assert got == want
-    if got is None:
-        assert tighten(G, P) == tighten(H, P)
+    err = validate_pd(G, P)
+    assert err == literal_validate_pd(G, P)
+    if err is None:
+        assert_tightens_as_literal(G, P)
     else:
         with pytest.raises(AssertionError):
             tighten(G, P)
-        with pytest.raises(AssertionError):
-            tighten(H, P)

@@ -226,7 +226,7 @@ class TestClassL:
 class TestUnderlyingGraph:
     def test_two_cycle_becomes_single_edge(self):
         G = underlying_graph(build(2, [(0, 1), (1, 0)]))
-        assert G.edges == {frozenset({0, 1})}
+        assert G.pairs == ((0, 1),)
 
     def test_directed_cycle(self):
         G = underlying_graph(build(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))

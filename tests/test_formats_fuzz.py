@@ -101,7 +101,7 @@ def test_empty_bag_survives_text_round_trip():
     assert P.to_text() == "0\n\n0\n"
     back = PathDecomposition.from_text(P.to_text())
     assert back == P
-    assert validate_pd(Graph(1, frozenset()), back) == \
+    assert validate_pd(Graph(1, ()), back) == \
         "axiom 3: vertex 0 occurs non-contiguously"
     assert PathDecomposition.from_text("") == PathDecomposition(())
 

@@ -19,7 +19,6 @@ from maxleaf.fpt import (
     NicePD,
     decide_k_dmlob,
     decide_k_dmlot,
-    dp_max_leaf,
     dp_max_leaf_run,
     to_nice,
 )
@@ -116,11 +115,11 @@ class TestDpAgainstReference:
             P = good_pd(D)
             for root in range(3):
                 want = best_rooted(D, root)
-                got = dp_max_leaf(D, P, root)
+                got = dp_max_leaf_run(D, P, root)
                 if want is None:
-                    assert got is None
+                    assert got.value is None and got.witness is None
                 else:
-                    assert got is not None and got[0] == want
+                    assert got.value == want
 
     def test_random_small(self):
         for seed in range(25):
@@ -128,11 +127,11 @@ class TestDpAgainstReference:
             P = good_pd(D)
             for root in range(D.n):
                 want = best_rooted(D, root)
-                got = dp_max_leaf(D, P, root)
+                got = dp_max_leaf_run(D, P, root)
                 if want is None:
-                    assert got is None
+                    assert got.value is None and got.witness is None
                 else:
-                    value, T = got
+                    value, T = got.value, got.witness
                     assert value == want
                     assert T.root == root
                     assert validate(D, T) is None
@@ -161,7 +160,7 @@ class TestDpAgainstReference:
         D = Digraph.build(3, [(0, 1), (1, 2)])
         bogus = PathDecomposition((frozenset({0, 1}),))
         with pytest.raises(ValueError, match="invalid decomposition"):
-            dp_max_leaf(D, bogus, 0)
+            dp_max_leaf_run(D, bogus, 0)
 
     @pytest.mark.parametrize("message", sorted(INVALID_DECOMPOSITIONS))
     def test_dp_run_rejects_each_invalid_decomposition(self, message):
@@ -172,7 +171,7 @@ class TestDpAgainstReference:
     def test_bad_root_rejected(self):
         D = Digraph.build(2, [(0, 1)])
         with pytest.raises(ValueError, match="root"):
-            dp_max_leaf(D, good_pd(D), 5)
+            dp_max_leaf_run(D, good_pd(D), 5)
 
 
 class TestRootFreeDp:
