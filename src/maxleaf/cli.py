@@ -36,8 +36,13 @@ EXIT_BUDGET = 3
 EXIT_ASSERT = 4
 
 
-def default_budget_ms() -> float:
-    return float(os.environ.get("MAXLEAF_TIME_BUDGET_MS", "60000"))
+def budget_ms(text: str) -> float:
+    """A time budget in ms.  NaN is refused, since no deadline comparison
+    with it is ever true, and so is a negative budget."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"time budget {text!r} is not a number of ms >= 0")
+    return value
 
 
 def _read_digraph(path: str) -> Digraph:
@@ -63,7 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--local", action="store_true")
     mode.add_argument("--fpt", action="store_true")
     s.add_argument("--k", type=int, help="target leaves (fpt mode)")
-    s.add_argument("--time-budget-ms", type=float, default=None)
+    # a string default goes through type too, so the variable is checked
+    budget = os.environ.get("MAXLEAF_TIME_BUDGET_MS", "60000")
+    s.add_argument("--time-budget-ms", type=budget_ms, default=budget)
     s.add_argument("--seed", type=int, default=0, help="restart seed (--local)")
     s.add_argument("graph")
 
@@ -91,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--family", default=None)
     v.add_argument("--params", default=None)
-    v.add_argument("--time-budget-ms", type=float, default=None)
+    v.add_argument("--time-budget-ms", type=budget_ms, default=budget)
     v.add_argument("--out", help="prefix for CSV/JSON report files")
     return ap
 
@@ -125,18 +132,17 @@ def _cmd_solve(args) -> int:
     if args.fpt and args.k is None:
         print("solve: --k required with --fpt", file=sys.stderr)
         return EXIT_USAGE
-    budget = args.time_budget_ms if args.time_budget_ms is not None else default_budget_ms()
     try:
-        return _solve(args, D, budget)
+        return _solve(args, D)
     except BudgetExhausted as e:
         print(json.dumps({"status": "budget", "lower_bound": e.best_value}))
         return EXIT_BUDGET
 
 
-def _solve(args, D: Digraph, budget: float) -> int:
-    deadline = time.monotonic() + budget / 1000.0
+def _solve(args, D: Digraph) -> int:
+    deadline = time.monotonic() + args.time_budget_ms / 1000.0
     if args.exact:
-        value, T = exact_max_leaf_branching(D, budget)
+        value, T = exact_max_leaf_branching(D, args.time_budget_ms)
         out = {"leaves": value, "witness": None}
         if T is not None:
             out["witness"] = T.to_dict()
@@ -259,14 +265,13 @@ def _verify_specs(args) -> list[InstanceSpec]:
 
 
 def _cmd_verify(args) -> int:
-    budget = args.time_budget_ms if args.time_budget_ms is not None else default_budget_ms()
     specs = _verify_specs(args)
     if args.campaign == "theorem2":
-        report = verify_bound_theorem2(specs, budget)
+        report = verify_bound_theorem2(specs, args.time_budget_ms)
     elif args.campaign == "widths":
         report = verify_widths(specs, [args.k])
     else:
-        report = verify_lemma2(specs, budget)
+        report = verify_lemma2(specs, args.time_budget_ms)
 
     if args.out:
         with open(args.out + ".csv", "w", encoding="utf-8") as f:

@@ -1,8 +1,8 @@
 """Exact ground truth at desk scale.
 
-Maximum-leaf out-branching values via branch and bound (plus a naive
-enumerate-all-parent-maps reference used to cross-check it), maximum-leaf
-out-tree values, and exact pathwidth via the vertex separation DP.
+Maximum-leaf out-branching values via the k-leaf out-tree search,
+maximum-leaf out-tree values, and exact pathwidth via the vertex
+separation DP.
 """
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import sys
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 from .branching import OutBranching, leaf_count, validate
@@ -43,35 +42,6 @@ class VertexOrdering:
     cost: int
 
 
-def naive_max_leaf_branching(D: Digraph) -> tuple[int, Optional[OutBranching]]:
-    """Reference oracle: enumerate every parent assignment.
-
-    Each non-root vertex picks a parent among its in-neighbors; the
-    assignment is kept iff the arcs form an out-branching.  Exponential;
-    only for cross-checking on tiny or sparse instances.
-    """
-    best, best_T = 0, None
-    ok, roots = has_out_branching(D)
-    if not ok:
-        return 0, None
-    for root in sorted(roots):
-        others = [v for v in range(D.n) if v != root]
-        choices = [D.in_adj[v] for v in others]
-        if any(not c for c in choices):
-            continue
-        for combo in product(*choices):
-            parent = [-1] * D.n
-            for v, p in zip(others, combo):
-                parent[v] = p
-            T = OutBranching(D.n, root, tuple(parent))
-            if any(d < 0 for d in T.depths()):
-                continue
-            k = leaf_count(T)
-            if k > best:
-                best, best_T = k, T
-    return best, best_T
-
-
 def exact_max_leaf_branching(
     D: Digraph,
     time_budget_ms: float = 60_000.0,
@@ -79,163 +49,95 @@ def exact_max_leaf_branching(
 ) -> tuple[int, Optional[OutBranching]]:
     """Exact maximum-leaf out-branching value with a validating witness.
 
-    Branch and bound over parent choices: at each node pick an unattached
-    frontier vertex (fewest remaining parent candidates first) and branch
-    on taking or permanently excluding one candidate arc into it.
-    Vertices whose only possible parent is already in the tree are
-    attached by unit propagation.  The admissible bound combines the
-    vertices already forced internal, a greedy parent-capacity cover of
-    the unattached set, and the depth of the layered reachability
-    frontier.  Returns (0, None) when D has no out-branching.  Raises
-    BudgetExhausted past the wall-clock budget.
+    The k-leaf out-tree search of Kneis, Langer & Rossmanith (ISAAC 2008),
+    asked for k = best + 1 from each root of the source component in turn
+    until it answers no; a no at k is a no at every larger k.  Each yes
+    tree is extended to an out-branching with at least its leaves, which
+    is validated and sets best.  Returns (0, None) when D has no
+    out-branching, as it then has no roots.  Raises BudgetExhausted past
+    the wall-clock budget, carrying the best witness so far.
     """
-    ok, roots = has_out_branching(D)
-    if not ok or D.n == 0:
-        return 0, None
-    if D.n == 1:
+    _, roots = has_out_branching(D)
+    n = D.n
+    if n == 1:
         return 0, OutBranching(1, 0, (-1,))
 
     deadline = time.monotonic() + time_budget_ms / 1000.0
-    best = -1
-    best_T: Optional[OutBranching] = None
-    if initial_lower_bound is not None:
-        best, best_T = initial_lower_bound
-
-    n = D.n
-    FULL = (1 << n) - 1
-    # avail_out[u] / avail_in[v]: the arcs out of u / into v that the
-    # search has not excluded; an exclusion clears one bit in each
-    avail_out = [0] * n
-    avail_in = [0] * n
+    best, best_T = initial_lower_bound or (0, None)
+    out = [0] * n
     for a, b in D.arcs:
-        avail_out[a] |= 1 << b
-        avail_in[b] |= 1 << a
-    idx = {1 << v: v for v in range(n)}
-    INFEASIBLE = -(10 ** 9)
-    # parent[v] is written when v is attached; v is attached at most once
-    # on a search path, so a spanning node reads only its own path's entries
-    parent = [-1] * n
+        out[a] |= 1 << b
+    nodes = 0
 
-    def propagate(attached: int, internal: int) -> Optional[tuple[int, int]]:
-        """Attach vertices with a unique surviving parent candidate; None
-        when some vertex has no candidate left."""
-        changed = True
-        while changed:
-            changed = False
-            um = FULL ^ attached
-            while um:
-                low = um & -um
-                um ^= low
-                avail = avail_in[idx[low]]
-                if avail == 0:
-                    return None
-                if avail & (avail - 1) == 0 and avail & attached:
-                    parent[idx[low]] = idx[avail]
-                    attached |= low
-                    internal |= avail
-                    changed = True
-        return attached, internal
-
-    def bound(attached: int, internal: int) -> int:
-        """Upper bound on the leaves of a spanning completion; the state
-        does not span (search tests that first)."""
-        U = FULL ^ attached
-        demand = U.bit_count()
-        im = internal
-        while im and demand > 0:
-            low = im & -im
-            im ^= low
-            demand -= (avail_out[idx[low]] & U).bit_count()
-        extra = 0
-        if demand > 0:
-            caps = []
-            om = FULL ^ internal
-            while om:
-                low = om & -om
-                om ^= low
-                c = (avail_out[idx[low]] & U).bit_count()
-                if c:
-                    caps.append(c)
-            caps.sort(reverse=True)
-            for c in caps:
-                if demand <= 0:
-                    break
-                demand -= c
-                extra += 1
-            if demand > 0:
-                return INFEASIBLE  # cannot span
-        # layered reachability: layer d > 1 forces an internal vertex
-        # in every earlier layer, all of them currently unattached
-        frontier, rem, layers = attached, U, 0
-        while rem:
-            nxt = 0
-            fm = frontier
-            while fm:
-                low = fm & -fm
-                fm ^= low
-                nxt |= avail_out[idx[low]]
-            nxt &= rem
-            if nxt == 0:
-                return INFEASIBLE  # unreachable vertex
-            layers += 1
-            rem &= ~nxt
-            frontier = nxt
-        extra = max(extra, layers - 1)
-        return n - max(internal.bit_count() + extra, 1)
-
-    def search(attached: int, internal: int) -> None:
-        """Take branches recurse; each exclude branch continues the loop."""
-        nonlocal best, best_T
-        bans = []
+    def grow(tree: int, inner: int, free: int, leaves: int) -> Optional[int]:
+        """The internal vertices of an out-tree with k leaves that extends
+        the one on `tree` with internal vertices `inner`, whose leaves in
+        `free` may still become internal; None if there is none.  The
+        internal branch recurses, and the leaf branch continues the loop."""
+        nonlocal nodes
         while True:
-            if time.monotonic() > deadline:
+            if nodes & 255 == 0 and time.monotonic() > deadline:
                 raise BudgetExhausted(best, best_T)
-            state = propagate(attached, internal)
-            if state is None:
-                break
-            attached, internal = state
-            if attached == FULL:
-                k = n - max(internal.bit_count(), 1)
-                if k > best:
-                    best = k
-                    best_T = OutBranching(n, root, tuple(parent))
-                break
-            if bound(attached, internal) <= best:
-                break
-            # branch vertex: the least frontier vertex with fewest parent
-            # candidates; the bound's first layer shows the frontier is nonempty
-            vb, cand, fewest = 0, 0, n + 1
-            um = FULL ^ attached
-            while um:
-                low = um & -um
-                um ^= low
-                avail = avail_in[idx[low]]
-                if avail & attached and avail.bit_count() < fewest:
-                    vb, cand, fewest = low, avail & attached, avail.bit_count()
-            c = cand & internal or cand  # an internal parent first
-            ub = c & -c
-            v, u = idx[vb], idx[ub]
-            parent[v] = u
-            search(attached | vb, internal | ub)
-            avail_in[v] ^= ub
-            avail_out[u] ^= vb
-            bans.append((u, v))
-        for u, v in bans:
-            avail_in[v] |= 1 << u
-            avail_out[u] |= 1 << v
+            nodes += 1
+            if leaves >= k:
+                return inner
+            # only vertices the free leaves reach outside the tree can join
+            reach, todo = 0, free
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                new = out[low.bit_length() - 1] & ~tree & ~reach
+                reach |= new
+                todo |= new
+            if leaves + reach.bit_count() < k:
+                return None
+            vb = free & -free
+            free ^= vb
+            # v internal takes every out-neighbour outside the tree: moving
+            # a vertex under an internal vertex loses no leaf.  A lone child
+            # must be internal too, else v as a leaf does as well, so the
+            # branch follows such a path to a vertex with two or more
+            u, path = vb.bit_length() - 1, vb
+            new = out[u] & ~tree
+            while new and not new & (new - 1):
+                u = new.bit_length() - 1
+                path |= new
+                new = out[u] & ~tree & ~path
+            if new:
+                found = grow(tree | path | new, inner | path, free | new,
+                             leaves - 1 + new.bit_count())
+                if found is not None:
+                    return found
 
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + n)  # one frame per take, at most n - 1
+    sys.setrecursionlimit(limit + n)  # one frame per internal branch, at most n
     try:
         for root in sorted(roots):
-            parent[:] = [-1] * n
-            search(1 << root, 0)
+            while True:
+                k = best + 1
+                # the lone root counts as a leaf: with n >= 2 every
+                # out-branching has one
+                inner = grow(1 << root, 0, 1 << root, 1)
+                if inner is None:
+                    break
+                # a search from the root that expands only `inner` spans the
+                # yes tree, with a leaf wherever that tree has one; then each
+                # other vertex hangs under an in-neighbour already placed, and
+                # a leaf parent trades its leaf for the new one
+                parent, seen, order = [-1] * n, 1 << root, [root]
+                for expand in (inner | 1 << root, (1 << n) - 1):
+                    for u in order:
+                        if expand >> u & 1:
+                            for w in D.out_adj[u]:
+                                if not seen >> w & 1:
+                                    seen |= 1 << w
+                                    parent[w] = u
+                                    order.append(w)
+                best_T = OutBranching(n, root, tuple(parent))
+                best = leaf_count(best_T)
+                assert best >= k and validate(D, best_T) is None
     finally:
         sys.setrecursionlimit(limit)
-
-    if best < 0:
-        return 0, None
-    assert best_T is not None and validate(D, best_T) is None
     return best, best_T
 
 

@@ -1,7 +1,9 @@
 """Helpers shared by several test modules."""
 import json
+from itertools import product
 
-from maxleaf.digraph import Digraph
+from maxleaf.branching import OutBranching, leaf_count
+from maxleaf.digraph import Digraph, has_out_branching
 
 
 def state_space_cap(bag_size: int) -> int:
@@ -14,6 +16,35 @@ def state_space_cap(bag_size: int) -> int:
         bell.append(row)
     b = bell[bag_size][0] if bag_size > 0 else 1
     return b * 4 ** bag_size
+
+
+def naive_max_leaf_branching(D):
+    """Reference oracle: enumerate every parent assignment.
+
+    Each non-root vertex picks a parent among its in-neighbors; the
+    assignment is kept iff the arcs form an out-branching.  Exponential;
+    only for cross-checking on tiny or sparse instances.
+    """
+    best, best_T = 0, None
+    ok, roots = has_out_branching(D)
+    if not ok:
+        return 0, None
+    for root in sorted(roots):
+        others = [v for v in range(D.n) if v != root]
+        choices = [D.in_adj[v] for v in others]
+        if any(not c for c in choices):
+            continue
+        for combo in product(*choices):
+            parent = [-1] * D.n
+            for v, p in zip(others, combo):
+                parent[v] = p
+            T = OutBranching(D.n, root, tuple(parent))
+            if any(d < 0 for d in T.depths()):
+                continue
+            k = leaf_count(T)
+            if k > best:
+                best, best_T = k, T
+    return best, best_T
 
 
 def serialize_json(D) -> str:

@@ -28,10 +28,9 @@ from maxleaf.oracles import (
     exact_max_leaf_branching,
     exact_max_leaf_tree,
     exact_vertex_separation,
-    naive_max_leaf_branching,
 )
 
-from helpers import state_space_cap
+from helpers import naive_max_leaf_branching, state_space_cap
 
 GOLDEN_H6_LEAVES = 19  # frozen from the first certified oracle run
 

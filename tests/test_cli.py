@@ -109,7 +109,9 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--exact",
                            "--time-budget-ms", "0.0", p)
         assert code == EXIT_BUDGET
-        assert json.loads(out)["status"] == "budget"
+        doc = json.loads(out)
+        assert doc["status"] == "budget"
+        assert doc["lower_bound"] >= 0
 
     def test_fpt_budget_exhaustion(self, capsys, tmp_path):
         # its strong decomposition has width 15; the DP cannot finish
@@ -158,6 +160,26 @@ class TestSolve:
         assert doc["status"] == "budget"
         assert 1 <= doc["lower_bound"] < D.n
 
+    @pytest.mark.parametrize("argv, env", [
+        (["solve", "--local", "--time-budget-ms", "nan"], None),
+        (["solve", "--exact", "--time-budget-ms", "-1"], None),
+        (["solve", "--exact"], "nan"),
+        (["solve", "--fpt", "--k", "2"], "-0.5"),
+        (["verify", "--campaign", "lemma2", "--count", "1"], "nan"),
+    ])
+    def test_nan_or_negative_budget_usage_error(self, capsys, monkeypatch,
+                                                cycle_path, argv, env):
+        # no deadline comparison with NaN is ever true, so a NaN budget
+        # would never run out
+        if env is not None:
+            monkeypatch.setenv("MAXLEAF_TIME_BUDGET_MS", env)
+        if argv[0] == "solve":
+            argv = argv + [cycle_path]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "time budget" in err and ">= 0" in err
+
     def test_malformed_graph_usage_error(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("3 1\n0 9\n")
@@ -173,7 +195,7 @@ WITNESS_8_LEAVES_4 = ('{"root": 8, "parent": {"0": 1, "1": 4, "2": 3, "3": 8, '
 @pytest.mark.parametrize("argv, stdout", [
     (["solve", "--exact"],
      '{"leaves": 4, "witness": {"root": 1, "parent": {"0": 1, "2": 3, "3": 0, '
-     '"4": 1, "5": 7, "6": 2, "7": 1, "8": 2}}}\n'),
+     '"4": 1, "5": 7, "6": 3, "7": 1, "8": 2}}}\n'),
     (["solve", "--local"],
      '{"leaves": 4, "witness": {"root": 1, "parent": {"0": 1, "2": 3, "3": 5, '
      '"4": 1, "5": 7, "6": 5, "7": 1, "8": 2}}}\n'),

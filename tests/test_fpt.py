@@ -28,10 +28,14 @@ from maxleaf.oracles import (
     VertexOrdering,
     exact_max_leaf_tree,
     exact_vertex_separation,
-    naive_max_leaf_branching,
 )
 
-from helpers import CHECKED_DIGRAPH, INVALID_DECOMPOSITIONS, state_space_cap
+from helpers import (
+    CHECKED_DIGRAPH,
+    INVALID_DECOMPOSITIONS,
+    naive_max_leaf_branching,
+    state_space_cap,
+)
 
 
 def random_digraph(n, seed, p=0.3):

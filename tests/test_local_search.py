@@ -21,7 +21,9 @@ from maxleaf.local_search import (
     improve_to_1ae,
     is_1ae_optimal,
 )
-from maxleaf.oracles import BudgetExhausted, naive_max_leaf_branching
+from maxleaf.oracles import BudgetExhausted
+
+from helpers import naive_max_leaf_branching
 
 
 def random_strong(n, seed, extra=0.25):

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from maxleaf.branching import leaf_count, validate
 from maxleaf import oracles
+from maxleaf.decomposition import ordering_to_decomposition
 from maxleaf.digraph import Digraph, Graph, underlying_graph
+from maxleaf.fpt import decide_k_dmlot, dp_max_leaf_run
 from maxleaf.generators import (
     gen_random_dag_single_source,
     gen_random_strong,
@@ -21,8 +23,9 @@ from maxleaf.oracles import (
     exact_max_leaf_branching,
     exact_max_leaf_tree,
     exact_vertex_separation,
-    naive_max_leaf_branching,
 )
+
+from helpers import naive_max_leaf_branching
 
 
 def random_digraph(n, seed, p=0.3):
@@ -78,7 +81,7 @@ class TestBranchAndBound:
         D = random_digraph(14, 2, p=0.6)
         with pytest.raises(BudgetExhausted) as e:
             exact_max_leaf_branching(D, time_budget_ms=0.0)
-        assert e.value.best_value >= -1
+        assert e.value.best_value >= 0
 
     def test_initial_lower_bound_respected(self):
         # seeding with the true optimum cannot change the answer
@@ -88,18 +91,22 @@ class TestBranchAndBound:
         assert v0 == v1
 
     def test_values_and_witnesses_pinned(self):
-        # values, roots and parent tuples of twelve searches, hashed; any
-        # change to the search order or the tie-breaks changes the digest
-        rows = []
+        # the values of twelve searches are pinned, their witnesses validate
+        # at those values, and their roots and parent tuples are hashed, so
+        # any change to the search order or the tie-breaks changes the digest
+        values, rows = [], []
         for s in range(4):
             for D in (gen_random_strong(13 + s, s, 15),
                       gen_random_strong_min_in3(14 + s, s),
                       gen_random_dag_single_source(16, s)):
                 v, T = exact_max_leaf_branching(D, 60_000)
+                assert validate(D, T) is None and leaf_count(T) == v
+                values.append(v)
                 rows.append([v, T.root, list(T.parent)])
+        assert values == [9, 10, 11, 9, 10, 12, 11, 11, 10, 11, 13, 11]
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == (
-            "852e8655aee2c438ec6c7783d1e8bfcbbae88278e0dea7916f34e9d0cf08103e")
+            "024607e59e68b7ced716da2a320f041ecf4e8c5f3031a6c5c2877f87cb70a209")
 
     def test_recursion_limit_restored(self):
         limit = sys.getrecursionlimit()
@@ -274,3 +281,32 @@ def test_vertex_separation_matches_brute_force(G):
                         for p in permutations(range(G.n)))
     assert sorted(ordering.order) == list(range(G.n))
     assert ordering_cost(nbr, ordering.order) == ordering.cost == value
+
+
+@st.composite
+def small_digraphs(draw):
+    """A digraph with n <= 7 and at most 3n arcs, so that naive
+    enumeration stays cheap."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=3 * n, unique=True)
+                if pairs else st.just([]))
+    return Digraph.build(n, arcs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_digraphs())
+def test_three_solvers_agree(D):
+    # naive enumeration, the branching search and the DP over an optimal
+    # path decomposition share no code; the DP's value is None, where the
+    # others give 0, when D has no out-branching
+    value, T = exact_max_leaf_branching(D, 10_000)
+    assert value == naive_max_leaf_branching(D)[0]
+    assert T is None or validate(D, T) is None and leaf_count(T) == value
+    G = underlying_graph(D)
+    P = ordering_to_decomposition(G, exact_vertex_separation(G)[1])
+    assert (dp_max_leaf_run(D, P).value or 0) == value
+    ell = exact_max_leaf_tree(D, 10_000)
+    if ell >= 1:
+        assert decide_k_dmlot(D, ell).answer == "yes"
+    assert decide_k_dmlot(D, ell + 1).answer == "no"
