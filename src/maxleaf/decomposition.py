@@ -311,7 +311,9 @@ def decompose_acyclic(D: Digraph, k: int,
     pd = tighten(underlying_graph(D), PathDecomposition(tuple(bags)))
 
     diags: list[str] = []
-    if pd.width > 4 * k - 6:
+    # the bound is for k >= 2: at k = 1 only the one-vertex digraph, with
+    # no leaf (see leaf_count) and width 0, gets here
+    if pd.width > max(4 * k - 6, 0):
         diags.append(f"width {pd.width} exceeds 4k-6 = {4 * k - 6}")
     return DecomposeOutcome(decomposition=pd, layers=1,
                             diagnostics=tuple(diags))

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import sys
 import time
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -168,44 +167,77 @@ def exact_vertex_separation(G: Graph) -> tuple[int, VertexOrdering]:
     """Exact vertex separation by subset DP; n <= 20.
 
     f(S) = max(|boundary(S)|, min over v in S of f(S - v)), where the
-    boundary S & nu[full - S] holds the vertices of S with a neighbor
-    outside S, nu[X] being the union of the neighborhoods of X.
-    O(n * 2^n) time, about 5 * 2^n bytes.  The order is read back from
-    full: at each S, the least v with f(S - v) <= f(S) reaches f(S).
+    boundary of S holds the vertices of S with a neighbour outside S.
+    The DP runs on families of sets, each a 2^n-bit int with bit S set
+    when S is in the family.  R_w = {S : f(S) <= w} is the family of sets
+    reached from the empty set by adding one vertex at a time while the
+    boundary stays at most w, so f(full) is the least w with full in R_w.
+    About n^2 * w operations on 2^n-bit ints, w the pathwidth, and about
+    (n + w) * 2^n / 8 bytes.  The order is read back from full: at each
+    S, the least v with f(S - v) <= f(S) reaches f(S).
     """
     n = G.n
     if n > 20:
         raise ValueError(f"exact vertex separation limited to n <= 20, got {n}")
     if n == 0:
         return 0, VertexOrdering((), 0)
-    nbr = [0] * n
-    for u, v in G.pairs:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-
+    adj = G.adjacency()
     full = (1 << n) - 1
-    nu = array("I", [0])
-    for v in range(n):  # the sets whose highest vertex is v
-        nv = nbr[v]
-        nu.extend(array("I", (x | nv for x in nu)))
-    f = bytearray(1 << n)
-    for S in range(1, 1 << n):
-        b = (S & nu[full ^ S]).bit_count()
-        best, s = n, S
-        while s and best > b:  # once some f(S - v) <= b, f(S) = b
-            low = s & -s
-            s ^= low
-            if (x := f[S ^ low]) < best:
-                best = x
-        f[S] = best if best > b else b
+    every = (1 << (1 << n)) - 1  # the family of all sets
+    lacks = []  # lacks[v]: the sets without v, a block pattern doubled
+    for v in range(n):
+        block = 1 << v
+        fam = (1 << block) - 1
+        block <<= 1
+        while block <= full:
+            fam |= fam << block
+            block <<= 1
+        lacks.append(fam)
+    # |boundary(S)| as a bit-sliced counter: planes[i] holds bit i.  v is
+    # on the boundary of S when S holds v and lacks one of its neighbours
+    planes = [0] * n.bit_length()
+    for v in range(n):
+        carry = 0
+        for u in adj[v]:
+            carry |= lacks[u]
+        carry &= ~lacks[v]
+        for i in range(len(planes)):
+            planes[i], carry = planes[i] ^ carry, planes[i] & carry
+
+    reach: list[int] = []  # reach[w] = R_w
+    R, w = 1, 0
+    while True:
+        # within: the sets whose boundary is at most w, by comparing the
+        # planes with w from the top bit down
+        above, equal = 0, every
+        for i in reversed(range(len(planes))):
+            if w >> i & 1:
+                equal &= planes[i]
+            else:
+                above |= equal & planes[i]
+                equal &= ~planes[i]
+        within = every & ~above
+        while True:  # R_{w-1} is inside R_w, so grow from it
+            before = R
+            for v in range(n):
+                R |= within & ((R & lacks[v]) << (1 << v))
+            if R == before:
+                break
+        reach.append(R)
+        if R >> full & 1:
+            break
+        w += 1
 
     order: list[int] = []
     S = full
     while S:
+        f = 0
+        while not reach[f] >> S & 1:
+            f += 1
         v = 0
-        while not (S >> v & 1 and f[S ^ 1 << v] <= f[S]):
+        while not (S >> v & 1 and reach[f] >> (S ^ 1 << v) & 1):
             v += 1
         order.append(v)
         S ^= 1 << v
     order.reverse()
-    return f[full], VertexOrdering(tuple(order), f[full])
+    return w, VertexOrdering(tuple(order), w)

@@ -1,9 +1,11 @@
 """Helpers shared by several test modules."""
 import json
+from array import array
 from itertools import product
 
 from maxleaf.branching import OutBranching, leaf_count
 from maxleaf.digraph import Digraph, has_out_branching
+from maxleaf.oracles import VertexOrdering
 
 
 def state_space_cap(bag_size: int) -> int:
@@ -45,6 +47,50 @@ def naive_max_leaf_branching(D):
             if k > best:
                 best, best_T = k, T
     return best, best_T
+
+
+def table_vertex_separation(G):
+    """Reference oracle: the vertex separation DP over a table of every
+    set, f(S) = max(|boundary(S)|, min over v in S of f(S - v)), where
+    the boundary S & nu[full - S] holds the vertices of S with a neighbor
+    outside S, nu[X] being the union of the neighborhoods of X.  O(n * 2^n)
+    time, about 5 * 2^n bytes.  The order is read back from full: at each
+    S, the least v with f(S - v) <= f(S) reaches f(S).
+    """
+    n = G.n
+    if n == 0:
+        return 0, VertexOrdering((), 0)
+    nbr = [0] * n
+    for u, v in G.pairs:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+
+    full = (1 << n) - 1
+    nu = array("I", [0])
+    for v in range(n):  # the sets whose highest vertex is v
+        nv = nbr[v]
+        nu.extend(array("I", (x | nv for x in nu)))
+    f = bytearray(1 << n)
+    for S in range(1, 1 << n):
+        b = (S & nu[full ^ S]).bit_count()
+        best, s = n, S
+        while s and best > b:  # once some f(S - v) <= b, f(S) = b
+            low = s & -s
+            s ^= low
+            if (x := f[S ^ low]) < best:
+                best = x
+        f[S] = best if best > b else b
+
+    order: list[int] = []
+    S = full
+    while S:
+        v = 0
+        while not (S >> v & 1 and f[S ^ 1 << v] <= f[S]):
+            v += 1
+        order.append(v)
+        S ^= 1 << v
+    order.reverse()
+    return f[full], VertexOrdering(tuple(order), f[full])
 
 
 def serialize_json(D) -> str:

@@ -1,13 +1,18 @@
+import io
 import json
 import os
+import re
 import resource
 import shlex
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import maxleaf
 from maxleaf.cli import (
@@ -18,7 +23,7 @@ from maxleaf.cli import (
     EXIT_USAGE,
     main,
 )
-from maxleaf.digraph import parse, serialize
+from maxleaf.digraph import Digraph, parse, serialize
 from maxleaf.generators import InstanceSpec, generate
 
 
@@ -204,7 +209,7 @@ WITNESS_8_LEAVES_4 = ('{"root": 8, "parent": {"0": 1, "1": 4, "2": 3, "3": 8, '
     (["solve", "--fpt", "--k", "3"],
      '{"answer": "yes", "k": 3, "leaves": 4, "witness": ' + WITNESS_8_LEAVES_4
      + ', "method": "local-search", "width": null, "states_peak": null}\n'),
-])
+], ids=["exact", "local", "decompose", "fpt"])
 def test_witness_output_pinned(capsys, tmp_path, argv, stdout):
     p = write_graph(tmp_path, RANDOM_STRONG_9)
     assert run(capsys, *argv, p) == (EXIT_OK, stdout, "")
@@ -233,6 +238,14 @@ class TestDecompose:
         code, out, _ = run(capsys, "decompose", "--mode", "acyclic",
                            "--k", "2", p)
         assert code == EXIT_OK
+
+    def test_acyclic_single_vertex_at_k1(self, capsys, tmp_path):
+        # the one vertex has no leaf and width 0, above 4k-6 = -2; no
+        # diagnostic, since that bound is for k >= 2
+        from maxleaf.digraph import Digraph
+        p = write_graph(tmp_path, Digraph.build(1, []))
+        assert run(capsys, "decompose", "--mode", "acyclic", "--k", "1", p) \
+            == (EXIT_OK, "0\n", "")
 
     def test_acyclic_rejects_cyclic_input(self, capsys, cycle_path):
         code, _, err = run(capsys, "decompose", "--mode", "acyclic",
@@ -432,3 +445,65 @@ class TestVerify:
 
 def test_unknown_subcommand_is_usage(capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
+
+
+@st.composite
+def contract_digraphs(draw):
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.sets(st.sampled_from(pairs), max_size=20)) if pairs else set()
+    return Digraph.build(n, arcs)
+
+
+# lines of a few tokens, most of them small integers, so that a fuzzed file
+# often gets past the header and into a solver
+token_lines = st.lists(
+    st.lists(st.one_of(st.integers(-2, 9).map(str),
+                       st.sampled_from(["x", "1.5", "-", "{", "[]", ""])),
+             max_size=3).map(" ".join),
+    max_size=8).map("\n".join)
+fuzzed = st.one_of(st.text(max_size=40), token_lines)
+artifacts = st.one_of(
+    fuzzed,
+    st.fixed_dictionaries({
+        "root": st.integers(-1, 8),
+        "parent": st.dictionaries(st.integers(0, 8).map(str),
+                                  st.integers(-1, 8), max_size=8),
+    }).map(json.dumps),
+    st.lists(st.lists(st.integers(-1, 8), max_size=4).map(
+        lambda bag: " ".join(map(str, bag))), max_size=6).map("\n".join),
+)
+ks = st.integers(-1, 9).map(str)
+commands = st.one_of(
+    st.tuples(st.just("solve"), st.sampled_from(["--exact", "--local", "--fpt"]),
+              st.just("--k"), ks),
+    st.tuples(st.just("decompose"), st.just("--mode"),
+              st.sampled_from(["strong", "acyclic"]), st.just("--k"), ks),
+    st.tuples(st.just("check"), st.sampled_from(["--pd", "--branching"])),
+)
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(argv=commands,
+       graph=st.one_of(contract_digraphs().map(serialize), fuzzed),
+       artifact=artifacts)
+def test_exit_code_contract(contract_dir, argv, graph, artifact):
+    # a header of a million vertices or more allocates that many lists
+    assume(not re.search(r"\d{6}", graph))
+    graph_path = contract_dir / "g.txt"
+    graph_path.write_text(graph)
+    argv = list(argv) + [str(graph_path)]
+    if argv[0] == "check":
+        artifact_path = contract_dir / "artifact.txt"
+        artifact_path.write_text(artifact)
+        argv.append(str(artifact_path))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_NO, EXIT_USAGE, EXIT_BUDGET), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -5,7 +5,7 @@ import sys
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxleaf.branching import leaf_count, validate
@@ -25,7 +25,7 @@ from maxleaf.oracles import (
     exact_vertex_separation,
 )
 
-from helpers import naive_max_leaf_branching
+from helpers import naive_max_leaf_branching, table_vertex_separation
 
 
 def random_digraph(n, seed, p=0.3):
@@ -249,6 +249,17 @@ class TestVertexSeparation:
         assert digest == (
             "b7b764a0e2f3f0eeeb956b9911682c12b838b3bac66031147aaad639a6f4f084")
 
+    @pytest.mark.parametrize("D, value, order", [
+        (gen_random_strong(20, 1, 15), 9,
+         (19, 16, 14, 13, 9, 7, 6, 5, 3, 2, 8, 4, 12, 11, 10, 18, 17, 15, 1, 0)),
+        (gen_random_strong_min_in3(20, 1), 8,
+         (19, 18, 17, 16, 15, 14, 13, 4, 1, 10, 8, 9, 5, 7, 12, 6, 11, 3, 2, 0)),
+    ], ids=["random_strong", "random_strong_min_in3"])
+    def test_size_limit_pinned(self, D, value, order):
+        # n = 20 is the largest size the guard admits
+        assert exact_vertex_separation(underlying_graph(D)) == (
+            value, oracles.VertexOrdering(order, value))
+
 
 def ordering_cost(nbr, order):
     """Largest prefix boundary of `order`: the most vertices of a prefix
@@ -281,6 +292,29 @@ def test_vertex_separation_matches_brute_force(G):
                         for p in permutations(range(G.n)))
     assert sorted(ordering.order) == list(range(G.n))
     assert ordering_cost(nbr, ordering.order) == ordering.cost == value
+
+
+@st.composite
+def table_graphs(draw):
+    """A graph with n <= 12: edgeless, complete, or with a drawn edge set."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    kind = draw(st.sampled_from(["edgeless", "complete", "drawn"]))
+    if kind == "edgeless" or not pairs:
+        return ugraph(n, [])
+    if kind == "complete":
+        return ugraph(n, pairs)
+    return ugraph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(table_graphs())
+@example(ugraph(0, []))
+@example(ugraph(1, []))
+@example(ugraph(2, [(0, 1)]))
+def test_vertex_separation_matches_table_dp(G):
+    # the same value and the same order as the DP over a table of every set
+    assert exact_vertex_separation(G) == table_vertex_separation(G)
 
 
 @st.composite
