@@ -226,6 +226,8 @@ def _cmd_check(args) -> int:
 def _verify_specs(args) -> list[InstanceSpec]:
     """The one spec that --family and --params name, else the campaign's
     sweep of --count seeds with n spread over --n-min..--n-max."""
+    if args.count < 1:
+        raise ValueError(f"verify: --count must be at least 1, got {args.count}")
     if bool(args.family) != bool(args.params):
         raise ValueError("verify: --family and --params must be given together")
     if args.family:

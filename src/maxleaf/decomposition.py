@@ -91,37 +91,46 @@ def _spans(bags: Sequence[frozenset[int]]) -> tuple[dict[int, int], dict[int, in
 
 def validate_pd(G: Graph, P: PathDecomposition) -> str | None:
     """None when P satisfies the three path-decomposition axioms for G,
-    else a message naming the first violated axiom and a witness."""
-    return _violation(G, P.bags, *_spans(P.bags))
-
-
-def _violation(G: Graph, bags: Sequence[frozenset[int]],
-               first: dict[int, int], last: dict[int, int]) -> str | None:
-    """validate_pd's verdict on bags with spans first, last = _spans(bags),
-    so that tighten validates and reads the spans in one pass.
+    else a message naming the first violated axiom and a witness.
 
     A vertex is contiguous exactly when its number of bags spans its
     range from first to last bag, and an edge of two contiguous vertices
     is covered exactly when their ranges meet."""
+    first, last = _spans(P.bags)
+    err = _vertex_violation(G, last)
+    if err is not None:
+        return err
+    split = _split_vertices(P.bags, first, last)
+    for u, v in G.pairs:
+        if u in split or v in split:
+            covered = any(u in b and v in b for b in P.bags)
+        else:
+            covered = first[u] <= last[v] and first[v] <= last[u]
+        if not covered:
+            return f"axiom 2: edge {{{u},{v}}} in no bag"
+    if split:
+        v = min(v for v in range(G.n) if v in split)
+        return f"axiom 3: vertex {v} occurs non-contiguously"
+    return None
+
+
+def _vertex_violation(G: Graph, last: dict[int, int]) -> str | None:
+    """A bag vertex outside G, or else a vertex of G in no bag."""
     n = G.n
     for v in last:
         if not (0 <= v < n):
             return f"bag vertex {v} outside host graph"
     if len(last) < n:
         return f"axiom 1: vertex {min(set(range(n)) - last.keys())} in no bag"
-    count = Counter(chain.from_iterable(bags))
-    split = {v for v, c in count.items() if c != last[v] - first[v] + 1}
-    for u, v in G.pairs:
-        if u in split or v in split:
-            covered = any(u in b and v in b for b in bags)
-        else:
-            covered = first[u] <= last[v] and first[v] <= last[u]
-        if not covered:
-            return f"axiom 2: edge {{{u},{v}}} in no bag"
-    if split:
-        v = min(v for v in range(n) if v in split)
-        return f"axiom 3: vertex {v} occurs non-contiguously"
     return None
+
+
+def _split_vertices(bags: Sequence[frozenset[int]], first: dict[int, int],
+                    last: dict[int, int]) -> set[int]:
+    """The vertices whose bags are not contiguous, given first, last =
+    _spans(bags)."""
+    count = Counter(chain.from_iterable(bags))
+    return {v for v, c in count.items() if c != last[v] - first[v] + 1}
 
 
 def ordering_to_decomposition(G: Graph, sigma: VertexOrdering) -> PathDecomposition:
@@ -154,7 +163,9 @@ def _ordering_to_pd(order: Sequence[int],
 def _anchor_edges(G: Graph, first: dict[int, int], last: dict[int, int],
                   nbags: int) -> tuple[list[int], list[int]]:
     """The interval [lo, hi] of the bags tighten anchors the edges of
-    every vertex at (-1, nbags if it has no edge).
+    every vertex at (-1, nbags if it has no edge).  Asserts that every
+    edge has a shared bag, which covers it when its endpoints are
+    contiguous.
 
     The shared bags of an edge are [L, R] = [max first, min last].  Edges
     are anchored in order of (R-L+1, u, v), each at the lowest bag of
@@ -164,10 +175,17 @@ def _anchor_edges(G: Graph, first: dict[int, int], last: dict[int, int],
     the second and third smallest endpoint of the two anchor intervals,
     so the lowest minimiser on [L, R] is the second smallest endpoint
     clamped to [L, R].  An unanchored vertex has the interval
-    [-1, nbags], which covers every bag at no cost."""
-    # one int per edge, ((R-L)n + u)n + v, orders the edges by
-    # (R-L+1, u, v); L rides along as the lowest digit
+    [-1, nbags], which covers every bag at no cost.
+
+    An edge with one shared bag (L == R) has no choice and comes first
+    in that order; extending an interval to a point commutes, so those
+    edges are anchored in the pass that finds L and R, and only the
+    edges with a choice are sorted."""
     n = G.n
+    lo = [-1] * n
+    hi = [nbags] * n
+    # one int per edge with a choice, ((R-L)n + u)n + v, orders those
+    # edges by (R-L+1, u, v); L rides along as the lowest digit
     keys = []
     for u, v in G.pairs:
         L = first[u]
@@ -176,10 +194,23 @@ def _anchor_edges(G: Graph, first: dict[int, int], last: dict[int, int],
         R = last[u]
         if last[v] < R:
             R = last[v]
-        keys.append((((R - L) * n + u) * n + v) * nbags + L)
+        if L == R:
+            if lo[u] < 0:
+                lo[u] = hi[u] = L
+            elif L < lo[u]:
+                lo[u] = L
+            elif L > hi[u]:
+                hi[u] = L
+            if lo[v] < 0:
+                lo[v] = hi[v] = L
+            elif L < lo[v]:
+                lo[v] = L
+            elif L > hi[v]:
+                hi[v] = L
+        else:
+            assert L < R, "tighten requires a valid decomposition"
+            keys.append((((R - L) * n + u) * n + v) * nbags + L)
     keys.sort()
-    lo = [-1] * n
-    hi = [nbags] * n
     for key in keys:
         key, L = divmod(key, nbags)
         key, v = divmod(key, n)
@@ -216,9 +247,16 @@ def tighten(G: Graph, P: PathDecomposition) -> PathDecomposition:
     edges.  Each edge is anchored at one bag containing both endpoints;
     edges with few shared bags are anchored first, later edges pick the
     shared bag that extends the endpoint intervals least.  Width never
-    increases.  Runs in O(m log m) plus the size of P."""
+    increases.  Runs in O(m + c log c) plus the size of P, where c is
+    the number of edges with more than one shared bag: only those are
+    sorted, so a one-bag decomposition sorts nothing.
+
+    The input is checked as validate_pd checks it: one pass over the
+    bags checks axioms 1 and 3, and the pass that anchors the edges
+    checks axiom 2."""
     first, last = _spans(P.bags)
-    assert _violation(G, P.bags, first, last) is None, \
+    assert (_vertex_violation(G, last) is None
+            and not _split_vertices(P.bags, first, last)), \
         "tighten requires a valid decomposition"
     nbags = len(P.bags)
     lo, hi = _anchor_edges(G, first, last, nbags)
@@ -384,72 +422,81 @@ class BetaTree:
         return out
 
 
-def _components_after_removal(T: _Tree, v: int) -> list[_Tree]:
-    """Components of T - v, each as an out-tree."""
-    ch = T.children()
-    comps: list[_Tree] = []
-    for c in ch[v]:
-        sub_parent: dict[int, int] = {}
-        stack = [c]
-        while stack:
-            u = stack.pop()
-            for w in ch[u]:
-                sub_parent[w] = u
-                stack.append(w)
-        comps.append(_Tree(c, sub_parent))
-    if v != T.root:
-        below = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in ch[u]:
-                below.add(w)
-                stack.append(w)
-        rest_parent = {u: p for u, p in T.parent.items()
-                       if u not in below and p not in below}
-        comps.append(_Tree(T.root, rest_parent))
-    return comps
-
-
-def _pick_centroid(T: _Tree) -> tuple[int, list[_Tree]]:
+def _pick_centroid(T: _Tree) -> tuple[int, list[tuple[int, int, list[int]]]]:
     """Separator vertex whose removal leaves components of original leaf
     weight at most half the total; among qualifying vertices the one with
-    the most balanced split (then lowest id) is taken.
+    the most balanced split (then lowest id) is taken.  Returns it with
+    the components of T - u, each as (leaf count, least vertex, vertices
+    in preorder with the component's root first).
 
-    Subtree sizes and leaf counts from one post-order pass give every
-    candidate's components: one per child, plus the rest of the tree
-    above it, where p(u) becomes a leaf when u is its only child."""
-    ch = T.children()
-    order = [T.root]
-    for u in order:
-        order.extend(ch[u])
-    size: dict[int, int] = {}
-    leaves: dict[int, int] = {}
-    for u in reversed(order):
-        size[u] = 1 + sum(size[c] for c in ch[u])
-        leaves[u] = sum(leaves[c] for c in ch[u]) if ch[u] else 1
-    total = leaves[T.root]
+    One children map and one depth-first preorder serve every candidate.
+    Subtree sizes and leaf counts, summed in reverse preorder, give its
+    components: one per child, plus the rest of the tree above it, where
+    p(u) becomes a leaf when u is its only child.  A child's component is
+    a slice of the preorder, and the rest is the preorder less u's slice."""
+    root, par = T.root, T.parent
+    ch: dict[int, list[int]] = {}
+    for u, p in par.items():
+        ch.setdefault(p, []).append(u)
+    order = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(ch.get(u, ()))
+    size = dict.fromkeys(order, 1)
+    leaves = {u: 0 if u in ch else 1 for u in order}
+    for u in order[:0:-1]:
+        p = par[u]
+        size[p] += size[u]
+        leaves[p] += leaves[u]
+    total = leaves[root]
     n = len(order)
     # undirected degree >= 2 avoids pendant separators (always possible
     # for trees with >= 2 leaves)
-    candidates = [u for u in order if len(ch[u]) + (u != T.root) >= 2] or order
+    candidates = [u for u in ch if u != root or len(ch[u]) >= 2] or order
 
+    # a component of original leaf weight above half the total, i.e.
+    # above total // 2, disqualifies u; the part above u counts p(u) as a
+    # leaf, for the key, only when u is its only child
+    half = total // 2
     best_key = None
     for u in candidates:
-        # (original leaf weight, leaf count, size) of each component
-        comps = [(leaves[c], leaves[c], size[c]) for c in ch[u]]
-        if u != T.root:
+        l = sz = 0
+        if u != root:
             rest = total - leaves[u]
-            comps.append((rest, rest + (len(ch[T.parent[u]]) == 1), n - size[u]))
-        if any(2 * w > total for w, _, _ in comps):
-            continue
-        key = (max((l for _, l, _ in comps), default=0),
-               max((sz for _, _, sz in comps), default=0), u)
+            if rest > half:
+                continue
+            l = rest + (len(ch[par[u]]) == 1)
+            sz = n - size[u]
+        kids = ch.get(u)
+        if kids:
+            w = max(map(leaves.__getitem__, kids))
+            if w > half:
+                continue
+            if w > l:
+                l = w
+            w = max(map(size.__getitem__, kids))
+            if w > sz:
+                sz = w
+        key = (l, sz, u)
         if best_key is None or key < best_key:
             best_key = key
     assert best_key is not None, "no qualifying separator vertex"
     u = best_key[2]
-    return u, _components_after_removal(T, u)
+
+    i = order.index(u)
+    end = i + size[u]
+    comps = []
+    j = i + 1
+    while j < end:
+        part = order[j:j + size[order[j]]]
+        comps.append((leaves[part[0]], min(part), part))
+        j += len(part)
+    if u != root:
+        part = order[:i] + order[end:]
+        comps.append((total - leaves[u] + (len(ch[par[u]]) == 1), min(part), part))
+    return u, comps
 
 
 def beta_split(T: _Tree, next_clone_id: int,
@@ -458,19 +505,18 @@ def beta_split(T: _Tree, next_clone_id: int,
 
     The separator v is duplicated: the original stays in the first tree,
     the clone roots (or joins) the second.  Returns (first, second, v,
-    clone_id).  Requires at least two leaves.
+    clone_id).  Requires at least two leaves.  The components of T - v
+    go to the two sides in order of leaf count, descending, then least
+    vertex, both of which the centroid pass already has, and each side
+    is built from its components' preorder slices.
     """
     lam = T.leaf_weight()
     assert lam >= 2, "beta_split requires at least two leaves"
     v, comps = _pick_centroid(T)
-
-    def comp_key(c: _Tree):
-        return (-c.leaf_weight(), min(c.vertices()))
-
-    comps.sort(key=comp_key)
+    comps.sort(key=lambda c: (-c[0], c[1]))
     s = len(comps)
     assert s >= 2, "separator must split the tree"
-    lcounts = [c.leaf_weight() for c in comps]
+    lcounts = [c[0] for c in comps]
 
     prefix = 0
     j = s
@@ -498,28 +544,24 @@ def beta_split(T: _Tree, next_clone_id: int,
                 f"split balance outside case bounds: lam={lam} case_a={case_a} "
                 f"prefix={pre} suffix={suf}")
 
-    clone = next_clone_id
-    first_comps = comps[:p]
-    second_comps = comps[p:]
+    par = T.parent
 
-    def assemble(side_comps: list[_Tree], copy_id: int) -> _Tree:
-        has_rest = any(c.root == T.root and v != T.root for c in side_comps)
+    def assemble(side_comps: list[tuple[int, int, list[int]]], copy_id: int) -> _Tree:
+        root = copy_id
         parent: dict[int, int] = {}
-        for c in side_comps:
-            parent.update(c.parent)
-        if has_rest:
-            # side containing the part above v: keep root, hang copy under p(v)
-            parent[copy_id] = T.parent[v]
-            root = T.root
-        else:
-            root = copy_id
-        for c in side_comps:
-            if not (c.root == T.root and v != T.root):
-                parent[c.root] = copy_id  # child subtree of v
+        for _, _, part in side_comps:
+            if part[0] == T.root:
+                # the part above v: keep the root, hang the copy under p(v)
+                root = T.root
+                parent[copy_id] = par[v]
+            else:
+                parent[part[0]] = copy_id  # a child subtree of v
+            parent.update({u: par[u] for u in part[1:]})
         return _Tree(root, parent)
 
-    first = assemble(first_comps, v)
-    second = assemble(second_comps, clone)
+    clone = next_clone_id
+    first = assemble(comps[:p], v)
+    second = assemble(comps[p:], clone)
     return first, second, v, clone
 
 
@@ -531,7 +573,7 @@ def build_beta_tree(D: Digraph, T: OutBranching) -> BetaTree:
     diags: list[str] = []
 
     def recurse(tree: _Tree, layer: int) -> BetaNode:
-        if tree.leaf_weight() <= 1 or len(tree.vertices()) <= 2:
+        if len(tree.parent) <= 1 or tree.leaf_weight() <= 1:
             return BetaNode(tree, layer)
         first, second, v, clone = beta_split(tree, next_id[0], diags)
         clone_of[clone] = clone_of.get(v, v)

@@ -127,11 +127,17 @@ def gen_ht(t: int) -> Digraph:
     return D
 
 
+def _require_pct(pct: int) -> None:
+    if not 0 <= pct <= 100:
+        raise ValueError(f"pct must be in 0..100, got {pct}")
+
+
 def gen_random_strong(n: int, seed: int, pct: int = 20) -> Digraph:
     """Strongly connected: random Hamiltonian cycle plus extra arcs with
     probability pct/100."""
     if n < 2:
         raise ValueError("n >= 2 required")
+    _require_pct(pct)
     rng = Lcg(seed * 2654435761 + n)
     perm = list(range(n))
     rng.shuffle(perm)
@@ -173,6 +179,7 @@ def gen_random_dag_single_source(n: int, seed: int, pct: int = 25) -> Digraph:
     """
     if n < 1:
         raise ValueError("n >= 1 required")
+    _require_pct(pct)
     rng = Lcg(seed * 2654435761 + n * 1013)
     arcs: set[tuple[int, int]] = set()
     for v in range(1, n):
@@ -189,6 +196,7 @@ def gen_random_digraph(n: int, seed: int, pct: int = 30) -> Digraph:
     pct/100; no structural guarantees."""
     if n < 1:
         raise ValueError("n >= 1 required")
+    _require_pct(pct)
     rng = Lcg(seed * 2654435761 + n * 3121)
     arcs = {(u, v) for u in range(n) for v in range(n)
             if u != v and rng.chance(pct, 100)}

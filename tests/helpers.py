@@ -4,6 +4,7 @@ from array import array
 from itertools import product
 
 from maxleaf.branching import OutBranching, leaf_count
+from maxleaf.decomposition import BetaNode, BetaTree, _Tree
 from maxleaf.digraph import Digraph, has_out_branching
 from maxleaf.oracles import VertexOrdering
 
@@ -107,3 +108,168 @@ INVALID_DECOMPOSITIONS = {
     "bag vertex 7 outside": (frozenset({0, 1, 2}), frozenset({2, 3, 7})),
     "axiom 3": (frozenset({0, 1, 2}), frozenset({2, 3}), frozenset({1})),
 }
+
+
+# Reference for the library's beta split from one preorder: the split on
+# parent dicts, which builds the children map once for the centroid and
+# again for the components, and sorts the components by leaf_weight()
+# and vertices().
+
+
+def components_after_removal(T: _Tree, v: int) -> list[_Tree]:
+    """Components of T - v, each as an out-tree."""
+    ch = T.children()
+    comps: list[_Tree] = []
+    for c in ch[v]:
+        sub_parent: dict[int, int] = {}
+        stack = [c]
+        while stack:
+            u = stack.pop()
+            for w in ch[u]:
+                sub_parent[w] = u
+                stack.append(w)
+        comps.append(_Tree(c, sub_parent))
+    if v != T.root:
+        below = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in ch[u]:
+                below.add(w)
+                stack.append(w)
+        rest_parent = {u: p for u, p in T.parent.items()
+                       if u not in below and p not in below}
+        comps.append(_Tree(T.root, rest_parent))
+    return comps
+
+
+def dict_pick_centroid(T: _Tree) -> tuple[int, list[_Tree]]:
+    """Separator vertex whose removal leaves components of original leaf
+    weight at most half the total; among qualifying vertices the one with
+    the most balanced split (then lowest id) is taken.
+
+    Subtree sizes and leaf counts from one post-order pass give every
+    candidate's components: one per child, plus the rest of the tree
+    above it, where p(u) becomes a leaf when u is its only child."""
+    ch = T.children()
+    order = [T.root]
+    for u in order:
+        order.extend(ch[u])
+    size: dict[int, int] = {}
+    leaves: dict[int, int] = {}
+    for u in reversed(order):
+        size[u] = 1 + sum(size[c] for c in ch[u])
+        leaves[u] = sum(leaves[c] for c in ch[u]) if ch[u] else 1
+    total = leaves[T.root]
+    n = len(order)
+    # undirected degree >= 2 avoids pendant separators (always possible
+    # for trees with >= 2 leaves)
+    candidates = [u for u in order if len(ch[u]) + (u != T.root) >= 2] or order
+
+    best_key = None
+    for u in candidates:
+        # (original leaf weight, leaf count, size) of each component
+        comps = [(leaves[c], leaves[c], size[c]) for c in ch[u]]
+        if u != T.root:
+            rest = total - leaves[u]
+            comps.append((rest, rest + (len(ch[T.parent[u]]) == 1), n - size[u]))
+        if any(2 * w > total for w, _, _ in comps):
+            continue
+        key = (max((l for _, l, _ in comps), default=0),
+               max((sz for _, _, sz in comps), default=0), u)
+        if best_key is None or key < best_key:
+            best_key = key
+    assert best_key is not None, "no qualifying separator vertex"
+    u = best_key[2]
+    return u, components_after_removal(T, u)
+
+
+def dict_beta_split(T: _Tree, next_clone_id: int,
+               diags: list[str]) -> tuple[_Tree, _Tree, int, int]:
+    """Split T at a leaf-weighted centroid into two out-trees.
+
+    The separator v is duplicated: the original stays in the first tree,
+    the clone roots (or joins) the second.  Returns (first, second, v,
+    clone_id).  Requires at least two leaves.
+    """
+    lam = T.leaf_weight()
+    assert lam >= 2, "beta_split requires at least two leaves"
+    v, comps = dict_pick_centroid(T)
+
+    def comp_key(c: _Tree):
+        return (-c.leaf_weight(), min(c.vertices()))
+
+    comps.sort(key=comp_key)
+    s = len(comps)
+    assert s >= 2, "separator must split the tree"
+    lcounts = [c.leaf_weight() for c in comps]
+
+    prefix = 0
+    j = s
+    for i, l in enumerate(lcounts):
+        prefix += l
+        if 2 * prefix >= lam + 2:
+            j = i + 1
+            break
+    case_a = 4 * lcounts[j - 1] <= lam + 2 if j <= s else True
+    p = j if case_a else 1
+    if p >= s:
+        p = s - 1  # keep both sides nonempty (small-lambda corner)
+
+    if lam >= 7:
+        pre = sum(lcounts[:p])
+        suf = sum(lcounts[p:])
+        if case_a:
+            ok = (2 * pre >= lam + 2 and 4 * pre <= 3 * (lam + 2)
+                  and 4 * suf >= lam - 6 and 2 * suf <= lam)
+        else:
+            ok = (4 * pre >= lam + 2 and 2 * pre <= lam + 2
+                  and 2 * suf >= lam - 2 and 4 * suf <= 3 * lam + 2)
+        if not ok:
+            diags.append(
+                f"split balance outside case bounds: lam={lam} case_a={case_a} "
+                f"prefix={pre} suffix={suf}")
+
+    clone = next_clone_id
+    first_comps = comps[:p]
+    second_comps = comps[p:]
+
+    def assemble(side_comps: list[_Tree], copy_id: int) -> _Tree:
+        has_rest = any(c.root == T.root and v != T.root for c in side_comps)
+        parent: dict[int, int] = {}
+        for c in side_comps:
+            parent.update(c.parent)
+        if has_rest:
+            # side containing the part above v: keep root, hang copy under p(v)
+            parent[copy_id] = T.parent[v]
+            root = T.root
+        else:
+            root = copy_id
+        for c in side_comps:
+            if not (c.root == T.root and v != T.root):
+                parent[c.root] = copy_id  # child subtree of v
+        return _Tree(root, parent)
+
+    first = assemble(first_comps, v)
+    second = assemble(second_comps, clone)
+    return first, second, v, clone
+
+
+def dict_beta_tree(D, T) -> BetaTree:
+    """build_beta_tree's recursion over dict_beta_split."""
+    clone_of: dict[int, int] = {}
+    next_id = [D.n]
+    diags: list[str] = []
+
+    def recurse(tree: _Tree, layer: int) -> BetaNode:
+        if tree.leaf_weight() <= 1 or len(tree.vertices()) <= 2:
+            return BetaNode(tree, layer)
+        first, second, v, clone = dict_beta_split(tree, next_id[0], diags)
+        clone_of[clone] = clone_of.get(v, v)
+        next_id[0] += 1
+        node = BetaNode(tree, layer, clone_of[clone])
+        node.children = (recurse(first, layer + 1), recurse(second, layer + 1))
+        return node
+
+    root = _Tree(T.root, {v: T.parent[v] for v in range(T.n) if v != T.root})
+    return BetaTree(recurse(root, 1), clone_of, diags)

@@ -82,6 +82,16 @@ class TestGen:
         assert code == EXIT_USAGE
         assert "--t" in err
 
+    @pytest.mark.parametrize("family", ["random_strong", "random_dag_single_source",
+                                        "random_digraph"])
+    @pytest.mark.parametrize("pct", ["-5", "101", "500"])
+    def test_pct_outside_0_100_is_usage_error(self, capsys, family, pct):
+        code, out, err = run(capsys, "gen", "--family", family, "--n", "5",
+                             "--pct", pct)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"pct must be in 0..100, got {pct}" in err
+
 
 class TestSolve:
     def test_exact_on_k4(self, capsys, k4_path):
@@ -435,6 +445,24 @@ class TestVerify:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    @pytest.mark.parametrize("campaign", ["theorem2", "lemma2", "widths"])
+    def test_count_below_one_is_usage_error(self, capsys, campaign, count):
+        # a campaign over no instance checked nothing, so it cannot pass
+        code, out, err = run(capsys, "verify", "--campaign", campaign,
+                             "--count", count)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"--count must be at least 1, got {count}" in err
+
+    @pytest.mark.parametrize("params", ["n=8,pct=500", "n=8,pct=-1"])
+    def test_params_pct_outside_0_100_is_usage_error(self, capsys, params):
+        code, out, err = run(capsys, "verify", "--campaign", "widths",
+                             "--family", "random_strong", "--params", params)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "pct must be in 0..100" in err
+
     def test_family_and_params_select_the_instance(self, capsys):
         code, out, _ = run(capsys, "verify", "--campaign", "widths",
                            "--family", "ht", "--params", "t=6", "--k", "4")
@@ -474,6 +502,7 @@ artifacts = st.one_of(
         lambda bag: " ".join(map(str, bag))), max_size=6).map("\n".join),
 )
 ks = st.integers(-1, 9).map(str)
+# commands that read the graph file, which the test appends
 commands = st.one_of(
     st.tuples(st.just("solve"), st.sampled_from(["--exact", "--local", "--fpt"]),
               st.just("--k"), ks),
@@ -481,6 +510,41 @@ commands = st.one_of(
               st.sampled_from(["strong", "acyclic"]), st.just("--k"), ks),
     st.tuples(st.just("check"), st.sampled_from(["--pd", "--branching"])),
 )
+# gen and verify read no file; every n stays at most 8 and ht's t at most
+# 8 (65 vertices) for gen, below 6 (which it refuses) for verify
+families = st.sampled_from(["ht", "random_strong", "random_strong_min_in3",
+                            "random_dag_single_source", "random_digraph"])
+small = st.integers(-2, 8).map(str)
+pcts = st.sampled_from(["-5", "0", "15", "100", "101", "500"])
+seeds = st.integers(-3, 1000).map(str)
+
+
+def _options(pairs):
+    return [x for flag, value in pairs if value is not None for x in (flag, value)]
+
+
+gen_commands = st.builds(
+    lambda family, t, n, pct, seed: ["gen", "--family", family, *_options(
+        [("--t", t), ("--n", n), ("--pct", pct), ("--seed", seed)])],
+    families, st.none() | st.integers(4, 8).map(str),
+    st.one_of(st.none(), small, small), st.none() | pcts, st.none() | seeds)
+# mostly the size key, perhaps pct, now and then a key that is unknown or
+# repeated
+params = st.builds(
+    lambda size, pct, extra: ",".join(filter(None, [size, pct, extra])),
+    st.one_of(small.map("n={}".format), small.map("n={}".format),
+              st.integers(-2, 5).map("t={}".format)),
+    st.none() | pcts.map("pct={}".format),
+    st.none() | st.sampled_from(["x=1", "n=3", "pct=x", ""]))
+verify_commands = st.builds(
+    lambda campaign, selected, count, k, seed: [
+        "verify", "--campaign", campaign, "--n-min", "4", "--n-max", "8",
+        *_options([("--count", count), ("--k", k), ("--seed", seed)]),
+        *(["--family", selected[0], "--params", selected[1]] if selected else [])],
+    st.sampled_from(["theorem2", "lemma2", "widths"]),
+    st.none() | st.tuples(families, params),
+    st.sampled_from(["-1", "0", "1", "2", "1", "2"]), st.none() | ks,
+    st.none() | seeds)
 
 
 @pytest.fixture(scope="module")
@@ -489,15 +553,17 @@ def contract_dir(tmp_path_factory):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(argv=commands,
+@given(argv=st.one_of(commands, gen_commands, verify_commands),
        graph=st.one_of(contract_digraphs().map(serialize), fuzzed),
        artifact=artifacts)
 def test_exit_code_contract(contract_dir, argv, graph, artifact):
-    # a header of a million vertices or more allocates that many lists
-    assume(not re.search(r"\d{6}", graph))
-    graph_path = contract_dir / "g.txt"
-    graph_path.write_text(graph)
-    argv = list(argv) + [str(graph_path)]
+    argv = list(argv)
+    if argv[0] in ("solve", "decompose", "check"):
+        # a header of a million vertices or more allocates that many lists
+        assume(not re.search(r"\d{6}", graph))
+        graph_path = contract_dir / "g.txt"
+        graph_path.write_text(graph)
+        argv.append(str(graph_path))
     if argv[0] == "check":
         artifact_path = contract_dir / "artifact.txt"
         artifact_path.write_text(artifact)

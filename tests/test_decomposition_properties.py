@@ -1,21 +1,26 @@
 """Property tests: the near-linear decomposition helpers against their
 literal quadratic definitions, kept here as the oracles."""
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+from helpers import components_after_removal, dict_beta_tree
 from maxleaf.decomposition import (
     PathDecomposition,
     _anchor_edges,
-    _components_after_removal,
     _ordering_to_pd,
     _pick_centroid,
     _spans,
     _Tree,
+    build_beta_tree,
     tighten,
     validate_pd,
 )
 from maxleaf.digraph import Digraph, Graph, underlying_graph
+from maxleaf.generators import gen_random_strong
+from maxleaf.local_search import bfs_branching, dfs_branching
 
 
 def literal_validate_pd(G, P):
@@ -179,7 +184,7 @@ def literal_pick_centroid(T):
     best_key = None
     best = None
     for u in sorted(candidates):
-        comps = _components_after_removal(T, u)
+        comps = components_after_removal(T, u)
         weights = [sum(1 for x in c.vertices() if x in orig_leaves) for c in comps]
         if any(2 * w > total for w in weights):
             continue
@@ -214,8 +219,52 @@ def test_pick_centroid_matches_per_candidate_components(T):
         return
     u, comps = _pick_centroid(T)
     assert u == want_u
-    assert [(c.root, c.parent) for c in comps] == \
-        [(c.root, c.parent) for c in want_comps]
+    # each component as (leaf count, least vertex, preorder, root first)
+    got = []
+    for leaf_count, least, part in comps:
+        tree = _Tree(part[0], {w: T.parent[w] for w in part[1:]})
+        assert (leaf_count, least) == (tree.leaf_weight(), min(tree.vertices()))
+        got.append((tree.root, tree.parent))
+    # the roots differ, so the sort never compares two parent dicts
+    assert sorted(got) == sorted((c.root, c.parent) for c in want_comps)
+
+
+@st.composite
+def random_out_branchings(draw):
+    """A random strong digraph with n <= 40 and a BFS or DFS out-branching
+    of it from a random root, with neighbours in a random order."""
+    n = draw(st.integers(2, 40))
+    D = gen_random_strong(n, draw(st.integers(0, 10**6)),
+                          draw(st.sampled_from([3, 10, 20, 40])))
+    build = draw(st.sampled_from([bfs_branching, dfs_branching]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return D, build(D, draw(st.integers(0, n - 1)), rng)
+
+
+def split_tree(node):
+    """Layer, separator and, at a leaf node, the path tree of every node
+    of a split tree, in preorder."""
+    out = []
+
+    def walk(node):
+        tree = (node.tree.root, node.tree.parent) if node.children is None else None
+        out.append((node.layer, node.separator, tree))
+        for c in node.children or ():
+            walk(c)
+
+    walk(node)
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(random_out_branchings())
+def test_beta_tree_matches_dict_split(case):
+    D, T = case
+    got, want = build_beta_tree(D, T), dict_beta_tree(D, T)
+    assert split_tree(got.root_node) == split_tree(want.root_node)
+    assert got.clone_of == want.clone_of
+    assert got.layers == want.layers
+    assert got.diagnostics == want.diagnostics
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -285,3 +334,65 @@ def test_underlying_graph_matches_the_literal_oracles(case):
     else:
         with pytest.raises(AssertionError):
             tighten(G, P)
+
+
+@st.composite
+def bag_sequences(draw):
+    """A graph and a sequence of bags, each vertex in a run of bags or in
+    none, then perhaps edited: a vertex dropped from a bag (which can make
+    it non-contiguous or leave it in no bag), or a vertex outside the
+    graph added.  Most edges join vertices that share a bag, the others
+    any two vertices.  One bag is drawn often, and every edge of a one-bag
+    input has one shared bag (L == R)."""
+    n = draw(st.integers(1, 8))
+    nbags = draw(st.sampled_from([1, 1, 2, 3, 5]))
+    spans = []
+    for _ in range(n):
+        a = draw(st.integers(0, nbags - 1))
+        spans.append((a, draw(st.integers(a, nbags - 1))))
+    bags = [{v for v in range(n) if spans[v][0] <= i <= spans[v][1]}
+            for i in range(nbags)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, nbags - 1))
+        if draw(st.booleans()):
+            if bags[i]:
+                bags[i].discard(draw(st.sampled_from(sorted(bags[i]))))
+        else:
+            bags[i].add(draw(st.integers(n, n + 2)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    shared = [(u, v) for u, v in pairs if any(u in b and v in b for b in bags)]
+    edges = set(draw(st.lists(st.sampled_from(shared), unique=True))) if shared else set()
+    if pairs and draw(st.integers(0, 3)) == 0:
+        edges.add(draw(st.sampled_from(pairs)))
+    return Graph(n, tuple(sorted(edges))), PathDecomposition(tuple(map(frozenset, bags)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(bag_sequences())
+def test_tighten_checks_its_input_as_validate_pd(case):
+    """tighten checks axioms 1 and 3 on its bags and axiom 2 while it
+    anchors the edges; it raises exactly when validate_pd reports a
+    violation, and otherwise tightens as the literal definition does."""
+    G, P = case
+    if validate_pd(G, P) is not None:
+        with pytest.raises(AssertionError):
+            tighten(G, P)
+    else:
+        assert_tightens_as_literal(G, P)
+
+
+def test_bag_sequences_draw_edges_with_one_shared_bag():
+    """The strategy above reaches valid inputs, of several bags, with an
+    edge whose endpoints share one bag and an edge whose share several."""
+    def shared_bags(G, P):
+        first, last = _spans(P.bags)
+        return {min(last[u], last[v]) - max(first[u], first[v]) for u, v in G.pairs}
+
+    def wanted(case):
+        G, P = case
+        return (len(P.bags) > 1 and validate_pd(G, P) is None
+                and {0, 1} <= shared_bags(G, P))
+
+    # generate only: a shrunk example shows nothing more
+    assert wanted(find(bag_sequences(), wanted, settings=settings(
+        derandomize=True, database=None, phases=[Phase.generate])))

@@ -129,6 +129,19 @@ class TestRandomFamilies:
         dense = gen_random_digraph(20, 1, pct=80)
         assert sparse.m < dense.m
 
+    @pytest.mark.parametrize("gen", [gen_random_strong, gen_random_dag_single_source,
+                                     gen_random_digraph])
+    @pytest.mark.parametrize("pct", [-5, 101, 500])
+    def test_pct_outside_0_100_rejected(self, gen, pct):
+        with pytest.raises(ValueError, match=f"pct must be in 0..100, got {pct}"):
+            gen(5, 0, pct)
+
+    @pytest.mark.parametrize("family", ["random_strong", "random_dag_single_source",
+                                        "random_digraph"])
+    def test_pct_bounds_accepted(self, family):
+        for pct in (0, 100):
+            assert generate(InstanceSpec(family, (("n", 5), ("pct", pct)), 0)).n == 5
+
     def test_size_guards(self):
         with pytest.raises(ValueError):
             gen_random_strong(1, 0)
