@@ -104,19 +104,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    required, optional = FAMILY_PARAMS[args.family]
     params = []
-    if args.family == "ht":
-        if args.t is None:
-            print("gen: --t required for family ht", file=sys.stderr)
-            return EXIT_USAGE
-        params.append(("t", args.t))
-    else:
-        if args.n is None:
-            print("gen: --n required", file=sys.stderr)
-            return EXIT_USAGE
-        params.append(("n", args.n))
-        if args.pct is not None:
-            params.append(("pct", args.pct))
+    for key in ("t", "n", "pct"):
+        value = getattr(args, key)
+        if value is None:
+            if key in required:
+                raise ValueError(f"gen: --{key} required for family {args.family}")
+        elif key in required + optional:
+            params.append((key, value))
+        else:
+            raise ValueError(f"gen: --{key} is not read by family {args.family}")
     D = generate(InstanceSpec(args.family, tuple(params), args.seed))
     text = digraph.serialize(D)
     if args.out:
@@ -159,11 +157,7 @@ def _solve(args, D: Digraph) -> int:
         return EXIT_OK
     dec = decide_k_dmlob(D, args.k, deadline=deadline)
     print(json.dumps(dec.to_dict()))
-    if dec.answer == "yes":
-        return EXIT_OK
-    if dec.answer == "no":
-        return EXIT_NO
-    return EXIT_USAGE
+    return EXIT_OK if dec.answer == "yes" else EXIT_NO
 
 
 def _cmd_decompose(args) -> int:

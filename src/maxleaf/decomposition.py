@@ -616,13 +616,13 @@ def decompose_strong(D: Digraph, k: int, assume_premise: bool = False,
                      T: Optional[OutBranching] = None) -> DecomposeOutcome:
     """Witness a branching with >= k leaves or decompose UN(D).
 
-    Applies to strongly connected digraphs, and more generally to
-    digraphs with an out-branching where out-tree and out-branching leaf
-    optima coincide.  The decomposition recursively splits a locally
-    optimal branching, decomposes each resulting directed path along its
-    own order, and merges children by unioning the cross-arc neighbor
-    set (at most 2k vertices when the machinery's premises hold) into
-    every bag.  That branching is T when given (a caller that already
+    Applies to strongly connected digraphs and to class L, where the
+    paper bounds the width; with assume_premise, to any digraph with an
+    out-branching, where the decomposition is valid but may be wide.  The
+    decomposition recursively splits a locally optimal branching,
+    decomposes each resulting directed path along its own order, and
+    merges children by unioning the cross-arc neighbor set (at most 2k
+    vertices when the machinery's premises hold) into every bag.  That branching is T when given (a caller that already
     holds it), else improve_to_1ae(bfs_branching(D, min root)).
     """
     if D.n == 0:
@@ -631,9 +631,10 @@ def decompose_strong(D: Digraph, k: int, assume_premise: bool = False,
         ok, _ = has_out_branching(D)
         if not ok:
             raise ValueError("digraph has no out-branching")
-        # the in-neighbor test is sufficient, not necessary; callers that
-        # know the tree/branching leaf optima coincide (e.g. reachable
-        # subdigraphs) may bypass it.  Only width guarantees rely on it.
+        # the paper's width bound needs the in-neighbor test; the beta
+        # splits are a valid decomposition of any digraph with an
+        # out-branching, so a caller that needs only validity (the DP of
+        # decide_k_dmlob) bypasses it
         if not assume_premise and not in_class_L(D):
             raise ValueError(
                 "digraph is neither strongly connected nor in the "

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class FormatError(ValueError):
@@ -338,6 +338,19 @@ def reachable_subdigraph(D: Digraph, v: int) -> tuple[Digraph, dict[int, int]]:
     if not (0 <= v < D.n):
         raise ValueError(f"vertex {v} out of range")
     return D.induced(sorted(reachable_set(D, v)))
+
+
+def reachable_subdigraphs(D: Digraph) -> Iterator[tuple[Digraph, dict[int, int]]]:
+    """reachable_subdigraph of the least vertex of each strong component,
+    in vertex order.  All vertices of a component reach the same set, so
+    these are all the distinct reachable subdigraphs of D: the out-trees
+    of D are the out-branchings of these."""
+    comp = strong_components(D).component_id
+    seen: set[int] = set()
+    for v in range(D.n):
+        if comp[v] not in seen:
+            seen.add(comp[v])
+            yield reachable_subdigraph(D, v)
 
 
 def in_class_L(D: Digraph) -> bool:

@@ -36,11 +36,8 @@ from .decomposition import (
 from .digraph import (
     Digraph,
     has_out_branching,
-    in_class_L,
     is_acyclic,
-    is_strongly_connected,
-    reachable_subdigraph,
-    strong_components,
+    reachable_subdigraphs,
     underlying_graph,
 )
 from .local_search import _bfs_1ae
@@ -284,7 +281,7 @@ def dp_max_leaf_run(D: Digraph, P: PathDecomposition,
 class Decision:
     """Outcome of a parameterized decision, with provenance."""
 
-    answer: str  # "yes" | "no" | "unsupported"
+    answer: str  # "yes" | "no"
     k: int
     leaves: Optional[int] = None
     witness: OutBranching | OutTree | None = None
@@ -307,20 +304,18 @@ class Decision:
         return out
 
 
-def _is_acyclic_single_source(D: Digraph) -> bool:
-    return is_acyclic(D) and sum(1 for v in range(D.n) if D.in_degree(v) == 0) == 1
-
-
-def decide_k_dmlob(D: Digraph, k: int, assume_supported: bool = False,
+def decide_k_dmlob(D: Digraph, k: int,
                    deadline: Optional[float] = None) -> Decision:
     """Does D have an out-branching with at least k leaves?
 
-    Local search first; if it falls short, decompose (acyclic or strong
-    route) and run the DP over the decomposition once, letting it choose
-    the root: a vertex that cannot reach all of D ends no spanning state.
-    Digraphs outside the supported classes get "unsupported" unless
-    assume_supported is set (used for reachable subdigraphs, where tree
-    and branching leaf optima provably coincide).  Past deadline (a
+    Local search first; if it falls short, decompose and run the DP over
+    the decomposition once, letting it choose the root: a vertex that
+    cannot reach all of D ends no spanning state.  An acyclic D (with an
+    out-branching, so a single source) takes the acyclic route, every
+    other D the strong one, whose beta splits give a valid decomposition
+    of any digraph with an out-branching.  The paper bounds its width
+    only for strong digraphs and class L; elsewhere it may be wide, and
+    the DP, exact on any valid decomposition, slow.  Past deadline (a
     time.monotonic() value) the DP raises BudgetExhausted with the
     local-search lower bound and witness.
     """
@@ -344,13 +339,10 @@ def decide_k_dmlob(D: Digraph, k: int, assume_supported: bool = False,
         if best is None or leaves > lb:
             best, lb = T, leaves
 
-    if _is_acyclic_single_source(D):
+    if is_acyclic(D):  # one source, since D has an out-branching
         outcome = decompose_acyclic(D, k, first)
-    elif is_strongly_connected(D) or in_class_L(D) or assume_supported:
-        outcome = decompose_strong(D, k, assume_premise=assume_supported,
-                                   T=first)
     else:
-        return Decision("unsupported", k)
+        outcome = decompose_strong(D, k, assume_premise=True, T=first)
 
     # both decompositions start from first, which has fewer than k leaves
     assert outcome.witness is None
@@ -372,22 +364,14 @@ def decide_k_dmlob(D: Digraph, k: int, assume_supported: bool = False,
 def decide_k_dmlot(D: Digraph, k: int) -> Decision:
     """Does D have an out-tree with at least k leaves?
 
-    Reduces to the spanning problem on the reachable subdigraph of one
-    vertex per strong component (all vertices of a component reach the
-    same set); those subdigraphs are always in the supported class.
+    Reduces to the spanning problem on each distinct reachable
+    subdigraph (reachable_subdigraphs).
     """
     if k <= 0:
         return Decision("yes", k, leaves=0, method="structure")
     best_leaves = 0
-    comp = strong_components(D).component_id
-    seen: set[int] = set()
-    for v in range(D.n):
-        if comp[v] in seen:
-            continue
-        seen.add(comp[v])
-        sub, relabel = reachable_subdigraph(D, v)
-        dec = decide_k_dmlob(sub, k, assume_supported=True)
-        assert dec.answer != "unsupported", "reachable subdigraph not supported"
+    for sub, relabel in reachable_subdigraphs(D):
+        dec = decide_k_dmlob(sub, k)
         if dec.answer == "yes":
             inv = {new: old for old, new in relabel.items()}
             W = dec.witness

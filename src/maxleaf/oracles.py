@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .branching import OutBranching, leaf_count, validate
-from .digraph import (
-    Digraph,
-    Graph,
-    has_out_branching,
-    reachable_subdigraph,
-    strong_components,
-)
+from .digraph import Digraph, Graph, has_out_branching, reachable_subdigraphs
 
 
 class BudgetExhausted(Exception):
@@ -144,19 +138,13 @@ def exact_max_leaf_tree(D: Digraph, time_budget_ms: float = 60_000.0) -> int:
     """Exact maximum leaf count over out-trees of D (need not span).
 
     Uses the identity: the optimum equals the max over v of the spanning
-    optimum on the subdigraph reachable from v, solved for one v per
-    strong component (all vertices of a component reach the same set).
-    The time budget bounds the whole call: each solve gets what is left.
+    optimum on the subdigraph reachable from v, solved once per distinct
+    such subdigraph (reachable_subdigraphs).  The time budget bounds the
+    whole call: each solve gets what is left.
     """
     deadline = time.monotonic() + time_budget_ms / 1000.0
-    comp = strong_components(D).component_id
-    seen: set[int] = set()
     best = 0
-    for v in range(D.n):
-        if comp[v] in seen:
-            continue
-        seen.add(comp[v])
-        sub, _ = reachable_subdigraph(D, v)
+    for sub, _ in reachable_subdigraphs(D):
         val, _ = exact_max_leaf_branching(
             sub, (deadline - time.monotonic()) * 1000.0)
         best = max(best, val)

@@ -82,6 +82,18 @@ class TestGen:
         assert code == EXIT_USAGE
         assert "--t" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--family", "random_strong_min_in3", "--n", "5", "--pct", "500"], "--pct"),
+        (["--family", "ht", "--t", "6", "--n", "3", "--pct", "900"], "--n"),
+        (["--family", "random_strong", "--n", "5", "--t", "9"], "--t"),
+    ])
+    def test_flag_the_family_does_not_read_is_usage_error(self, capsys, argv, flag):
+        # the keys of generators.FAMILY_PARAMS, as verify --params checks them
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"{flag} is not read by family" in err
+
     @pytest.mark.parametrize("family", ["random_strong", "random_dag_single_source",
                                         "random_digraph"])
     @pytest.mark.parametrize("pct", ["-5", "101", "500"])
@@ -112,6 +124,18 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--fpt", "--k", "4", k4_path)
         assert code == EXIT_NO
         assert json.loads(out)["answer"] == "no"
+
+    def test_fpt_outside_strong_and_class_l(self, capsys, tmp_path):
+        # 0 -> 1 <-> 2 is neither strong nor in class L: the DP still
+        # decides it, while the paper's strong construction refuses it
+        p = write_graph(tmp_path, Digraph.build(3, [(0, 1), (1, 2), (2, 1)]))
+        code, out, _ = run(capsys, "solve", "--fpt", "--k", "3", p)
+        assert code == EXIT_NO
+        doc = json.loads(out)
+        assert (doc["answer"], doc["leaves"]) == ("no", 1)
+        code, out, _ = run(capsys, "decompose", "--mode", "strong", "--k", "2", p)
+        assert code == EXIT_USAGE
+        assert out == ""
 
     def test_fpt_requires_k(self, capsys, k4_path):
         code, _, err = run(capsys, "solve", "--fpt", k4_path)

@@ -12,7 +12,7 @@ from maxleaf.branching import leaf_count, validate
 from maxleaf import oracles
 from maxleaf.decomposition import ordering_to_decomposition
 from maxleaf.digraph import Digraph, Graph, underlying_graph
-from maxleaf.fpt import decide_k_dmlot, dp_max_leaf_run
+from maxleaf.fpt import decide_k_dmlob, decide_k_dmlot, dp_max_leaf_run
 from maxleaf.generators import (
     gen_random_dag_single_source,
     gen_random_strong,
@@ -333,13 +333,20 @@ def small_digraphs(draw):
 def test_three_solvers_agree(D):
     # naive enumeration, the branching search and the DP over an optimal
     # path decomposition share no code; the DP's value is None, where the
-    # others give 0, when D has no out-branching
+    # others give 0, when D has no out-branching.  decide_k_dmlob answers
+    # every digraph with an out-branching, whatever its class
     value, T = exact_max_leaf_branching(D, 10_000)
     assert value == naive_max_leaf_branching(D)[0]
     assert T is None or validate(D, T) is None and leaf_count(T) == value
     G = underlying_graph(D)
     P = ordering_to_decomposition(G, exact_vertex_separation(G)[1])
     assert (dp_max_leaf_run(D, P).value or 0) == value
+    if T is not None:  # D has an out-branching
+        yes = decide_k_dmlob(D, value)
+        assert yes.answer == "yes"
+        assert yes.witness is None or validate(D, yes.witness) is None
+        no = decide_k_dmlob(D, value + 1)
+        assert (no.answer, no.leaves) == ("no", value)
     ell = exact_max_leaf_tree(D, 10_000)
     if ell >= 1:
         assert decide_k_dmlot(D, ell).answer == "yes"
