@@ -13,8 +13,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Optional, Sequence
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Optional, Sequence
 
 from .branching import OutBranching, classify, leaf_count
 from .digraph import (
@@ -139,28 +139,61 @@ def ordering_to_decomposition(G: Graph, sigma: VertexOrdering) -> PathDecomposit
     Bag j holds v_j plus every earlier vertex that still has a neighbor
     at position j or later; width is at most the ordering's cost.
     """
-    adj = G.adjacency()
-    return _ordering_to_pd(list(sigma.order), lambda v: adj[v])
+    order = sigma.order
+    ends = _ordering_ends(order, G.adjacency().__getitem__)
+    return PathDecomposition(_sweep(zip(order, range(len(order)), ends), len(order)))
 
 
-def _ordering_to_pd(order: Sequence[int],
-                    neighbors: Callable[[int], set[int]]) -> PathDecomposition:
-    # v_j sits in bags j..last_j, last_j being the position of its last
-    # neighbour (at least j); a sweep drops it again before bag last_j + 1
+def _ordering_ends(order: Sequence[int],
+                   neighbors: Callable[[int], set[int]]) -> list[int]:
+    """The position of each v_j's last neighbour in order, j if earlier."""
     pos = {v: i for i, v in enumerate(order)}
-    leaving: list[list[int]] = [[] for _ in range(len(order) + 1)]
+    return [max(j, max((pos[w] for w in neighbors(v) if w in pos), default=j))
+            for j, v in enumerate(order)]
+
+
+def _sweep(spans: Iterable[tuple[int, int, int]],
+           nbags: int) -> tuple[frozenset[int], ...]:
+    """The nonempty bags of the spans (vertex, first bag, last bag)."""
+    # each vertex has one span: it enters at its first bag, leaves after its last
+    change: list[list[int]] = [[] for _ in range(nbags + 1)]
+    for v, a, b in spans:
+        change[a].append(v)
+        change[b + 1].append(v)
     active: set[int] = set()
     bags = []
-    for j, vj in enumerate(order):
-        active.difference_update(leaving[j])
-        active.add(vj)
-        bags.append(frozenset(active))
-        last = max((pos[w] for w in neighbors(vj) if w in pos), default=j)
-        leaving[max(last, j) + 1].append(vj)
-    return PathDecomposition(tuple(bags))
+    for c in change[:nbags]:
+        active.symmetric_difference_update(c)
+        if active:
+            bags.append(frozenset(active))
+    return tuple(bags)
 
 
-def _anchor_edges(G: Graph, first: dict[int, int], last: dict[int, int],
+def _depth(spans: Iterable[tuple[int, int]], nbags: int) -> int:
+    """The most of the bag intervals (a, b) that share one bag."""
+    d = [0] * (nbags + 1)
+    for a, b in spans:
+        d[a] += 1
+        d[b + 1] -= 1
+    return max(accumulate(d))
+
+
+def _run_spans(n: int, runs: list[tuple[int, int, int]]) -> tuple[list[int], list[int]]:
+    """First and last bag of each vertex of range(n) from its runs (v, a, b)
+    of bags a..b; asserts that each has a run and its runs leave no gap."""
+    first, last = [-1] * n, [-1] * n
+    for v, a, b in sorted(runs):
+        if first[v] < 0:
+            first[v] = last[v] = a
+        assert a <= last[v] + 1, f"vertex {v} occurs non-contiguously"
+        if b > last[v]:
+            last[v] = b
+    assert -1 not in first, "a vertex is in no bag"
+    return first, last
+
+
+def _anchor_edges(G: Graph, first: Sequence[int] | dict[int, int],
+                  last: Sequence[int] | dict[int, int],
                   nbags: int) -> tuple[list[int], list[int]]:
     """The interval [lo, hi] of the bags tighten anchors the edges of
     every vertex at (-1, nbags if it has no edge).  Asserts that every
@@ -258,25 +291,18 @@ def tighten(G: Graph, P: PathDecomposition) -> PathDecomposition:
     assert (_vertex_violation(G, last) is None
             and not _split_vertices(P.bags, first, last)), \
         "tighten requires a valid decomposition"
-    nbags = len(P.bags)
+    return _tighten(G, first, last, len(P.bags))
+
+
+def _tighten(G: Graph, first: Sequence[int] | dict[int, int],
+             last: Sequence[int] | dict[int, int], nbags: int) -> PathDecomposition:
+    """tighten's core: nbags bags, each vertex v of G in bags first[v]..last[v]."""
     lo, hi = _anchor_edges(G, first, last, nbags)
     # v keeps bags lo[v]..hi[v], its first bag alone when it has no edge;
     # that range lies inside its original one, so a sweep rebuilds the bags
-    enter: list[list[int]] = [[] for _ in range(nbags + 1)]
-    leave: list[list[int]] = [[] for _ in range(nbags + 1)]
-    for v in range(G.n):
-        if lo[v] < 0:
-            lo[v] = hi[v] = first[v]
-        enter[lo[v]].append(v)
-        leave[hi[v] + 1].append(v)
-    active: set[int] = set()
-    bags = []
-    for i in range(nbags):
-        active.difference_update(leave[i])
-        active.update(enter[i])
-        if active:
-            bags.append(frozenset(active))
-    out = PathDecomposition(tuple(bags) or (frozenset(),))
+    spans = ((v, a, b) if a >= 0 else (v, first[v], first[v])
+             for v, a, b in zip(range(G.n), lo, hi))
+    out = PathDecomposition(_sweep(spans, nbags) or (frozenset(),))
     assert validate_pd(G, out) is None
     return out
 
@@ -334,19 +360,19 @@ def decompose_acyclic(D: Digraph, k: int,
 
     cls = classify(T)
     W = frozenset(chain(cls.leaves, cls.branches, cls.first_vertices))
-    # residual: maximal link paths with their first vertex removed
-    residual_paths = [p[1:] for p in cls.link_paths if len(p) > 1]
-
-    bags: list[frozenset[int]] = []
-    for path in residual_paths:
-        if len(path) == 1:
-            bags.append(frozenset({path[0]}) | W)
-        else:
-            for a, b in zip(path, path[1:]):
-                bags.append(frozenset({a, b}) | W)
-    if not bags:
-        bags.append(W)
-    pd = tighten(underlying_graph(D), PathDecomposition(tuple(bags)))
+    # the residual (link paths less their first vertex) takes a bag per
+    # path edge, a lone vertex one bag; W is one run over all the bags
+    runs: list[tuple[int, int, int]] = []
+    nbags = 0
+    for path in (p[1:] for p in cls.link_paths if len(p) > 1):
+        assert W.isdisjoint(path), "a W vertex on a residual path"
+        m = max(len(path) - 1, 1)
+        runs.extend((u, nbags + max(i - 1, 0), nbags + min(i, m - 1))
+                    for i, u in enumerate(path))
+        nbags += m
+    nbags = max(nbags, 1)
+    runs.extend((w, 0, nbags - 1) for w in W)
+    pd = _tighten(underlying_graph(D), *_run_spans(D.n, runs), nbags)
 
     diags: list[str] = []
     # the bound is for k >= 2: at k = 1 only the one-vertex digraph, with
@@ -597,14 +623,12 @@ def build_beta_tree(D: Digraph, T: OutBranching) -> BetaTree:
 
 def _path_order(tree: _Tree) -> list[int]:
     """Root-to-end vertex order of a single-leaf tree (a directed path)."""
-    ch = tree.children()
+    child = {p: v for v, p in tree.parent.items()}
     order = [tree.root]
-    cur = tree.root
-    while ch[cur]:
-        assert len(ch[cur]) == 1, "leaf node of the split tree is not a path"
-        cur = ch[cur][0]
-        order.append(cur)
-    assert len(order) == len(tree.vertices())
+    while order[-1] in child:
+        order.append(child[order[-1]])
+    assert len(order) == len(tree.parent) + 1, \
+        "leaf node of the split tree is not a path"
     return order
 
 
@@ -619,11 +643,11 @@ def decompose_strong(D: Digraph, k: int, assume_premise: bool = False,
     Applies to strongly connected digraphs and to class L, where the
     paper bounds the width; with assume_premise, to any digraph with an
     out-branching, where the decomposition is valid but may be wide.  The
-    decomposition recursively splits a locally optimal branching,
-    decomposes each resulting directed path along its own order, and
-    merges children by unioning the cross-arc neighbor set (at most 2k
-    vertices when the machinery's premises hold) into every bag.  That branching is T when given (a caller that already
-    holds it), else improve_to_1ae(bfs_branching(D, min root)).
+    decomposition recursively splits a locally optimal branching (T when
+    given, else improve_to_1ae(bfs_branching(D, min root))) and decomposes
+    each resulting path along its own order.  A split's glue, its
+    separator plus the cross-arc neighbor set (at most 2k vertices when
+    the premises hold), is one run over the bags of the paths below it.
     """
     if D.n == 0:
         raise ValueError("empty digraph")
@@ -661,45 +685,46 @@ def decompose_strong(D: Digraph, k: int, assume_premise: bool = False,
         diags.append(f"layer count {t} exceeds {layer_bound(k)}")
     diags.extend(bt.diagnostics)
 
-    def pd_for_leaf(node: BetaNode) -> PathDecomposition:
+    runs: list[tuple[int, int, int]] = []
+
+    def leaf_runs(node: BetaNode, start: int) -> int:
         order = [bt.orig(u) for u in _path_order(node.tree)]
-        on_path = set(order)
-        W_local = on_path & W_full
+        W_local = W_full.intersection(order)
         path_arcs = set(zip(order, order[1:]))
-        # adjacency of the stripped digraph R
+        # adjacency of the stripped digraph R: the arcs within the path
+        # less those off it that touch W_local
         adj: dict[int, set[int]] = {u: set() for u in order}
         for a in order:
             for b in D.out_adj[a]:
-                if b not in on_path:
-                    continue
-                touches_w = a in W_local or b in W_local
-                if touches_w and (a, b) not in path_arcs:
-                    continue
-                adj[a].add(b)
-                adj[b].add(a)
-        pd = _ordering_to_pd(order, lambda u: adj[u])
+                if b in adj and (a not in W_local and b not in W_local
+                                 or (a, b) in path_arcs):
+                    adj[a].add(b)
+                    adj[b].add(a)
+        ends = _ordering_ends(order, adj.__getitem__)
+        m = len(order)
         # the ordering's boundary (the most vertices up to a position with
         # a neighbour past it) is the width of the decomposition it induces
-        boundary = pd.width
+        boundary = _depth(enumerate(ends), m) - 1
         if boundary > k:
             diags.append(
                 f"stripped path ordering boundary {boundary} exceeds k={k}")
-        bags = tuple(b | W_local for b in pd.bags)
-        out = PathDecomposition(bags)
-        if out.width >= 5 * k:
-            diags.append(f"leaf path width {out.width} not below 5k = {5 * k}")
-        return out
+        # the leaf path's bags are those bags with W_local added to each
+        spans = [(0, m - 1) if u in W_local else (i, e)
+                 for i, (u, e) in enumerate(zip(order, ends))]
+        width = _depth(spans, m) - 1
+        if width >= 5 * k:
+            diags.append(f"leaf path width {width} not below 5k = {5 * k}")
+        runs.extend((u, start + a, start + b) for u, (a, b) in zip(order, spans))
+        return start + m
 
-    combined: list[frozenset[int]] = []
-
-    def combine(node: BetaNode, inherited: frozenset[int]) -> None:
-        """Append the bags of the leaf paths below node, each unioned with
-        inherited, the glue of the splits above node.  A split's glue is
-        its separator plus Y, the vertices on one side with an in-neighbour
-        on the other; its diagnostic follows those of its children."""
+    def combine(node: BetaNode, start: int) -> int:
+        """Add the runs of the leaf paths below node, from bag start on,
+        then node's glue as one run over their bags; return the bag after
+        them.  A split's glue is its separator plus Y, the vertices on one
+        side with an in-neighbour on the other; its diagnostic follows
+        those of its children."""
         if node.children is None:
-            combined.extend(b | inherited for b in pd_for_leaf(node).bags)
-            return
+            return leaf_runs(node, start)
         v = node.separator
         sides = [{bt.orig(u) for u in c.tree.vertices()} for c in node.children]
         # Y is symmetric in the two sides: walk the arcs of the smaller one
@@ -709,15 +734,15 @@ def decompose_strong(D: Digraph, k: int, assume_premise: bool = False,
             Y.update(w for w in D.out_adj[u] if w in large)
             if not large.isdisjoint(D.in_adj[u]):
                 Y.add(u)
-        inherited = inherited | Y | {v}
-        combine(node.children[0], inherited)
-        combine(node.children[1], inherited)
+        end = combine(node.children[1], combine(node.children[0], start))
+        runs.extend((w, start, end - 1) for w in Y | {v})
         if len(Y - {v}) > 2 * k:
             diags.append(
                 f"cross-neighbor set size {len(Y)} exceeds 2k = {2 * k}")
+        return end
 
-    combine(bt.root_node, frozenset())
-    pd = tighten(underlying_graph(D), PathDecomposition(tuple(combined)))
+    nbags = combine(bt.root_node, 0)
+    pd = _tighten(underlying_graph(D), *_run_spans(D.n, runs), nbags)
     if pd.width > 2 * (t + 1.5) * k:
         diags.append(
             f"final width {pd.width} exceeds 2(t+1.5)k = {2 * (t + 1.5) * k}")

@@ -1,11 +1,30 @@
 """Helpers shared by several test modules."""
 import json
 from array import array
-from itertools import product
+from itertools import chain, product
+from typing import Callable, Optional, Sequence
 
-from maxleaf.branching import OutBranching, leaf_count
-from maxleaf.decomposition import BetaNode, BetaTree, _Tree
-from maxleaf.digraph import Digraph, has_out_branching
+from maxleaf.branching import OutBranching, classify, leaf_count
+from maxleaf.decomposition import (
+    BetaNode,
+    BetaTree,
+    DecomposeOutcome,
+    PathDecomposition,
+    _path_order,
+    _Tree,
+    build_beta_tree,
+    layer_bound,
+    tighten,
+)
+from maxleaf.digraph import (
+    Digraph,
+    has_out_branching,
+    in_class_L,
+    is_acyclic,
+    is_strongly_connected,
+    underlying_graph,
+)
+from maxleaf.local_search import _bfs_1ae
 from maxleaf.oracles import VertexOrdering
 
 
@@ -273,3 +292,183 @@ def dict_beta_tree(D, T) -> BetaTree:
 
     root = _Tree(T.root, {v: T.parent[v] for v in range(T.n) if v != T.root})
     return BetaTree(recurse(root, 1), clone_of, diags)
+
+
+# Reference for the run form of the two constructions: decompose_acyclic
+# and decompose_strong as they were when every bag was built with all of
+# its glue (W in every bag; each split's separator and Y in every bag of
+# the leaf paths below it) and tighten read the spans back from the bags.
+
+
+def _ordering_to_pd(order: Sequence[int],
+                    neighbors: Callable[[int], set[int]]) -> PathDecomposition:
+    # v_j sits in bags j..last_j, last_j being the position of its last
+    # neighbour (at least j); a sweep drops it again before bag last_j + 1
+    pos = {v: i for i, v in enumerate(order)}
+    leaving: list[list[int]] = [[] for _ in range(len(order) + 1)]
+    active: set[int] = set()
+    bags = []
+    for j, vj in enumerate(order):
+        active.difference_update(leaving[j])
+        active.add(vj)
+        bags.append(frozenset(active))
+        last = max((pos[w] for w in neighbors(vj) if w in pos), default=j)
+        leaving[max(last, j) + 1].append(vj)
+    return PathDecomposition(tuple(bags))
+
+
+def glued_acyclic(D: Digraph, k: int,
+                  T: Optional[OutBranching] = None) -> DecomposeOutcome:
+    """decompose_acyclic with W unioned into every bag of the residual
+    paths, then tighten on those bags."""
+    if not is_acyclic(D):
+        raise ValueError("digraph is not acyclic")
+    sources = [v for v in range(D.n) if D.in_degree(v) == 0]
+    if len(sources) != 1:
+        raise ValueError(f"expected a single source, found {len(sources)}")
+    root = sources[0]
+
+    if T is None:
+        T = _bfs_1ae(D, root)
+    if leaf_count(T) >= k:
+        return DecomposeOutcome(witness=T)
+
+    if leaf_count(T) == 1:
+        # T is a Hamiltonian path; acyclicity plus local optimality leave
+        # no room for extra arcs, so decompose along the path itself
+        order = [root]
+        ch = T.children()
+        while ch[order[-1]]:
+            order.append(ch[order[-1]][0])
+        assert set(D.arcs) == set(zip(order, order[1:]))
+        bags_ = tuple(frozenset(p) for p in zip(order, order[1:])) or (
+            frozenset({root}),)
+        return DecomposeOutcome(decomposition=PathDecomposition(bags_),
+                                layers=1)
+
+    cls = classify(T)
+    W = frozenset(chain(cls.leaves, cls.branches, cls.first_vertices))
+    # residual: maximal link paths with their first vertex removed
+    residual_paths = [p[1:] for p in cls.link_paths if len(p) > 1]
+
+    bags: list[frozenset[int]] = []
+    for path in residual_paths:
+        if len(path) == 1:
+            bags.append(frozenset({path[0]}) | W)
+        else:
+            for a, b in zip(path, path[1:]):
+                bags.append(frozenset({a, b}) | W)
+    if not bags:
+        bags.append(W)
+    pd = tighten(underlying_graph(D), PathDecomposition(tuple(bags)))
+
+    diags: list[str] = []
+    # the bound is for k >= 2: at k = 1 only the one-vertex digraph, with
+    # no leaf (see leaf_count) and width 0, gets here
+    if pd.width > max(4 * k - 6, 0):
+        diags.append(f"width {pd.width} exceeds 4k-6 = {4 * k - 6}")
+    return DecomposeOutcome(decomposition=pd, layers=1,
+                            diagnostics=tuple(diags))
+
+
+def glued_strong(D: Digraph, k: int, assume_premise: bool = False,
+                 T: Optional[OutBranching] = None) -> DecomposeOutcome:
+    """decompose_strong with the inherited glue unioned into every bag of
+    each leaf path, then tighten on those bags."""
+    if D.n == 0:
+        raise ValueError("empty digraph")
+    if not is_strongly_connected(D):
+        ok, _ = has_out_branching(D)
+        if not ok:
+            raise ValueError("digraph has no out-branching")
+        # the paper's width bound needs the in-neighbor test; the beta
+        # splits are a valid decomposition of any digraph with an
+        # out-branching, so a caller that needs only validity (the DP of
+        # decide_k_dmlob) bypasses it
+        if not assume_premise and not in_class_L(D):
+            raise ValueError(
+                "digraph is neither strongly connected nor in the "
+                "supported out-branching class")
+    if D.n == 1:
+        return DecomposeOutcome(
+            decomposition=PathDecomposition((frozenset({0}),)), layers=1)
+
+    if T is None:
+        _, roots = has_out_branching(D)
+        T = _bfs_1ae(D, min(roots))
+    if leaf_count(T) >= k:
+        return DecomposeOutcome(witness=T)
+
+    cls = classify(T)
+    W_full = set(cls.leaves) | set(cls.branches) | set(cls.first_vertices)
+    diags: list[str] = []
+    if len(W_full) >= 4 * k:
+        diags.append(f"|W| = {len(W_full)} not below 4k = {4 * k}")
+
+    bt = build_beta_tree(D, T)
+    t = bt.layers
+    if t > layer_bound(k):
+        diags.append(f"layer count {t} exceeds {layer_bound(k)}")
+    diags.extend(bt.diagnostics)
+
+    def pd_for_leaf(node: BetaNode) -> PathDecomposition:
+        order = [bt.orig(u) for u in _path_order(node.tree)]
+        on_path = set(order)
+        W_local = on_path & W_full
+        path_arcs = set(zip(order, order[1:]))
+        # adjacency of the stripped digraph R
+        adj: dict[int, set[int]] = {u: set() for u in order}
+        for a in order:
+            for b in D.out_adj[a]:
+                if b not in on_path:
+                    continue
+                touches_w = a in W_local or b in W_local
+                if touches_w and (a, b) not in path_arcs:
+                    continue
+                adj[a].add(b)
+                adj[b].add(a)
+        pd = _ordering_to_pd(order, lambda u: adj[u])
+        # the ordering's boundary (the most vertices up to a position with
+        # a neighbour past it) is the width of the decomposition it induces
+        boundary = pd.width
+        if boundary > k:
+            diags.append(
+                f"stripped path ordering boundary {boundary} exceeds k={k}")
+        bags = tuple(b | W_local for b in pd.bags)
+        out = PathDecomposition(bags)
+        if out.width >= 5 * k:
+            diags.append(f"leaf path width {out.width} not below 5k = {5 * k}")
+        return out
+
+    combined: list[frozenset[int]] = []
+
+    def combine(node: BetaNode, inherited: frozenset[int]) -> None:
+        """Append the bags of the leaf paths below node, each unioned with
+        inherited, the glue of the splits above node.  A split's glue is
+        its separator plus Y, the vertices on one side with an in-neighbour
+        on the other; its diagnostic follows those of its children."""
+        if node.children is None:
+            combined.extend(b | inherited for b in pd_for_leaf(node).bags)
+            return
+        v = node.separator
+        sides = [{bt.orig(u) for u in c.tree.vertices()} for c in node.children]
+        # Y is symmetric in the two sides: walk the arcs of the smaller one
+        small, large = sorted(sides, key=len)
+        Y: set[int] = set()
+        for u in small:
+            Y.update(w for w in D.out_adj[u] if w in large)
+            if not large.isdisjoint(D.in_adj[u]):
+                Y.add(u)
+        inherited = inherited | Y | {v}
+        combine(node.children[0], inherited)
+        combine(node.children[1], inherited)
+        if len(Y - {v}) > 2 * k:
+            diags.append(
+                f"cross-neighbor set size {len(Y)} exceeds 2k = {2 * k}")
+
+    combine(bt.root_node, frozenset())
+    pd = tighten(underlying_graph(D), PathDecomposition(tuple(combined)))
+    if pd.width > 2 * (t + 1.5) * k:
+        diags.append(
+            f"final width {pd.width} exceeds 2(t+1.5)k = {2 * (t + 1.5) * k}")
+    return DecomposeOutcome(decomposition=pd, layers=t, diagnostics=tuple(diags))

@@ -1,12 +1,14 @@
+import dataclasses
 import hashlib
 import random
 
 import pytest
 
 from maxleaf import decomposition
-from maxleaf.branching import OutBranching, leaf_count, validate
+from maxleaf.branching import OutBranching, classify, leaf_count, validate
 from maxleaf.decomposition import (
     PathDecomposition,
+    _run_spans,
     build_beta_tree,
     decompose_acyclic,
     decompose_strong,
@@ -15,7 +17,7 @@ from maxleaf.decomposition import (
     validate_pd,
 )
 from maxleaf.digraph import Digraph, FormatError, Graph, underlying_graph
-from maxleaf.generators import gen_random_strong
+from maxleaf.generators import gen_random_dag_single_source, gen_random_strong
 from maxleaf.local_search import bfs_branching, improve_to_1ae
 from maxleaf.oracles import exact_vertex_separation
 
@@ -151,6 +153,20 @@ def layered_dag(width, depth):
     return Digraph.build(n, arcs)
 
 
+class TestRunSpans:
+    def test_merged_runs_give_first_and_last_bag(self):
+        runs = [(0, 0, 1), (2, 0, 3), (1, 3, 3), (0, 2, 2), (2, 1, 1), (1, 2, 3)]
+        assert _run_spans(3, runs) == ([0, 2, 0], [2, 3, 3])
+
+    def test_gap_between_runs_raises(self):
+        with pytest.raises(AssertionError, match="vertex 0 occurs non-contiguously"):
+            _run_spans(2, [(0, 0, 0), (1, 0, 2), (0, 2, 2)])
+
+    def test_vertex_without_run_raises(self):
+        with pytest.raises(AssertionError, match="in no bag"):
+            _run_spans(3, [(0, 0, 1), (2, 1, 1)])
+
+
 class TestDecomposeAcyclic:
     def test_witness_when_k_small(self):
         D = layered_dag(3, 3)
@@ -197,6 +213,27 @@ class TestDecomposeAcyclic:
                     assert validate_pd(underlying_graph(D),
                                        out.decomposition) is None
                     assert out.diagnostics == ()
+
+    def test_multi_bag_decomposition_is_pinned(self):
+        out = decompose_acyclic(gen_random_dag_single_source(60, 0, 2), 29)
+        pd = out.decomposition
+        assert hashlib.sha256(pd.to_json().encode()).hexdigest() == (
+            "405a19c6ad9ddf5c34fd21da0d2b2fd44a93c8aa40c5fccd85fc78b2db5d2de7")
+        assert (len(pd.bags), pd.width, out.diagnostics) == (7, 45, ())
+
+    def test_w_vertex_on_a_residual_path_raises(self, monkeypatch):
+        # a leaf of T spliced into a link path, after its first vertex
+        def spliced(T):
+            cls = classify(T)
+            i = next(i for i, p in enumerate(cls.link_paths) if len(p) > 1)
+            p = cls.link_paths[i]
+            paths = list(cls.link_paths)
+            paths[i] = (p[0], min(cls.leaves)) + p[1:]
+            return dataclasses.replace(cls, link_paths=tuple(paths))
+
+        monkeypatch.setattr(decomposition, "classify", spliced)
+        with pytest.raises(AssertionError, match="W vertex on a residual path"):
+            decompose_acyclic(gen_random_dag_single_source(60, 0, 2), 29)
 
     def test_rejects_cyclic(self):
         D = Digraph.build(3, [(0, 1), (1, 2), (2, 0)])
@@ -304,6 +341,30 @@ class TestDecomposeStrong:
         assert hashlib.sha256(pd.to_json().encode()).hexdigest() == (
             "5a4e3ff9ca695c12cc331eaaa2ef327d50678d3dc360464d6341f678ef42b86e")
         assert (pd.width, out.layers, out.diagnostics) == (999, 14, ())
+
+    def test_multi_bag_decomposition_is_pinned(self):
+        # the n = 1000 pin is one bag; this one keeps 330, so a glue run
+        # placed over the wrong bags changes its hash
+        out = decompose_strong(gen_random_strong(300, 1, 2), 213)
+        pd = out.decomposition
+        assert hashlib.sha256(pd.to_json().encode()).hexdigest() == (
+            "be95d797a90db59183e148bc6591da403a2b60de8494a09e97b2d3704a7bb99e")
+        assert (len(pd.bags), pd.width, out.layers, out.diagnostics) == (
+            330, 294, 12, ())
+
+    def test_misplaced_glue_run_raises(self, monkeypatch):
+        # vertex 2 sits in the first child's leaf paths only; named as the
+        # separator of the second child, its glue run leaves a gap
+        build = decomposition.build_beta_tree
+
+        def misplaced(D, T):
+            bt = build(D, T)
+            bt.root_node.children[1].separator = 2
+            return bt
+
+        monkeypatch.setattr(decomposition, "build_beta_tree", misplaced)
+        with pytest.raises(AssertionError, match="vertex 2 occurs non-contiguously"):
+            decompose_strong(gen_random_strong(9, 1, 10), 5)
 
     def test_class_L_instance_accepted(self):
         # two strong components, every sink-component vertex has an

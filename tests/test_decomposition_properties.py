@@ -6,21 +6,30 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from helpers import components_after_removal, dict_beta_tree
+from helpers import (
+    components_after_removal,
+    dict_beta_tree,
+    glued_acyclic,
+    glued_strong,
+)
+from maxleaf.branching import leaf_count
 from maxleaf.decomposition import (
     PathDecomposition,
     _anchor_edges,
-    _ordering_to_pd,
+    _ordering_ends,
     _pick_centroid,
     _spans,
+    _sweep,
     _Tree,
     build_beta_tree,
+    decompose_acyclic,
+    decompose_strong,
     tighten,
     validate_pd,
 )
-from maxleaf.digraph import Digraph, Graph, underlying_graph
-from maxleaf.generators import gen_random_strong
-from maxleaf.local_search import bfs_branching, dfs_branching
+from maxleaf.digraph import Digraph, Graph, has_out_branching, underlying_graph
+from maxleaf.generators import gen_random_dag_single_source, gen_random_strong
+from maxleaf.local_search import _bfs_1ae, bfs_branching, dfs_branching
 
 
 def literal_validate_pd(G, P):
@@ -142,6 +151,12 @@ def test_validate_pd_matches_literal_axiom_check(case):
     assert validate_pd(G, P) == literal_validate_pd(G, P)
 
 
+def ordering_bags(order, neighbors):
+    """The bags an ordering induces, swept from each vertex's last bag."""
+    ends = _ordering_ends(order, neighbors)
+    return _sweep(zip(order, range(len(order)), ends), len(order))
+
+
 def literal_ordering_bags(order, neighbors):
     pos = {v: i for i, v in enumerate(order)}
     bags = []
@@ -170,7 +185,7 @@ def test_ordering_sweep_matches_literal_bags(case):
             adj[u].add(v)
             adj[v].add(u)
     order = list(perm[:cut])
-    got = _ordering_to_pd(order, lambda v: adj[v]).bags
+    got = ordering_bags(order, lambda v: adj[v])
     assert got == literal_ordering_bags(order, lambda v: adj[v])
 
 
@@ -310,7 +325,7 @@ def decompositions_of_digraphs(draw):
     adj = underlying_graph(D).adjacency()
     order = draw(st.permutations(range(D.n)))
     pad = frozenset(draw(st.sets(st.integers(0, D.n - 1))))
-    bags = [set(b | pad) for b in _ordering_to_pd(order, adj.__getitem__).bags]
+    bags = [set(b | pad) for b in ordering_bags(order, adj.__getitem__)]
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, len(bags) - 1))
         if draw(st.booleans()) and bags[i]:
@@ -395,4 +410,68 @@ def test_bag_sequences_draw_edges_with_one_shared_bag():
 
     # generate only: a shrunk example shows nothing more
     assert wanted(find(bag_sequences(), wanted, settings=settings(
+        derandomize=True, database=None, phases=[Phase.generate])))
+
+
+@st.composite
+def construction_inputs(draw):
+    """A digraph with n <= 40 and a k from 2 up to one above the leaves of
+    the branching the construction starts from, so that decompositions of
+    several bags are drawn.  The digraph is strong, in class L (a strong
+    part with an arc into each vertex of another), a single-source DAG, or
+    that DAG with back arcs, in neither class (decompose_strong takes it
+    with assume_premise)."""
+    kind = draw(st.sampled_from(["strong", "class L", "dag", "other"]))
+    n = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 10**6))
+    pct = draw(st.sampled_from([1, 2, 3, 5, 10, 20]))
+    rng = random.Random(seed)
+    if kind == "strong":
+        D = gen_random_strong(n, seed, pct)
+    elif kind == "class L":
+        a = draw(st.integers(1, n - 1))
+        parts = [gen_random_strong(m, seed, pct).arcs if m > 1 else ()
+                 for m in (a, n - a)]
+        arcs = set(parts[0]) | {(u + a, v + a) for u, v in parts[1]}
+        arcs |= {(rng.randrange(a), q) for q in range(a, n)}
+        D = Digraph.build(n, arcs)
+    else:
+        D = gen_random_dag_single_source(n, seed, pct)
+        if kind == "other":
+            D = Digraph.build(n, set(D.arcs) | {
+                (v, u) for v in range(n) for u in range(1, v)
+                if rng.random() < pct / 100})
+    _, roots = has_out_branching(D)
+    ell = leaf_count(_bfs_1ae(D, min(roots)))
+    # k counts down from ell + 1, the most common draw
+    return kind, D, max(ell + 1 - draw(st.integers(0, ell)), 2)
+
+
+def glued_and_runs(kind, D, k):
+    if kind == "dag":
+        return glued_acyclic(D, k), decompose_acyclic(D, k)
+    return (glued_strong(D, k, assume_premise=True),
+            decompose_strong(D, k, assume_premise=True))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(construction_inputs())
+def test_runs_give_the_glued_decomposition(case):
+    """Both constructions, each glue set one run of bags, against the
+    literal glued bags and tighten on them: the same decomposition,
+    layers and diagnostics."""
+    want, got = glued_and_runs(*case)
+    assert got == want
+
+
+@pytest.mark.parametrize("kind", ["strong", "class L", "dag", "other"])
+def test_construction_inputs_draw_multi_bag_decompositions(kind):
+    def wanted(case):
+        if case[0] != kind:
+            return False
+        pd = glued_and_runs(*case)[1].decomposition
+        return pd is not None and len(pd.bags) > 1
+
+    # generate only: a shrunk example shows nothing more
+    assert wanted(find(construction_inputs(), wanted, settings=settings(
         derandomize=True, database=None, phases=[Phase.generate])))
