@@ -331,7 +331,9 @@ def decompose_acyclic(D: Digraph, k: int,
     of the remaining link paths; width is at most 4k-6 when the local
     optimum has fewer than k leaves.  That branching is T when given (a
     caller that already holds it), else improve_to_1ae(bfs_branching(D,
-    source)).
+    source)).  When the link paths take at most one bag, that bag holds
+    all of V(D), which covers every edge and is already tight, so it is
+    returned without building UN(D).
     """
     if not is_acyclic(D):
         raise ValueError("digraph is not acyclic")
@@ -372,7 +374,9 @@ def decompose_acyclic(D: Digraph, k: int,
         nbags += m
     nbags = max(nbags, 1)
     runs.extend((w, 0, nbags - 1) for w in W)
-    pd = _tighten(underlying_graph(D), *_run_spans(D.n, runs), nbags)
+    spans = _run_spans(D.n, runs)  # every vertex has a run, with no gap
+    pd = (PathDecomposition((frozenset(range(D.n)),)) if nbags == 1
+          else _tighten(underlying_graph(D), *spans, nbags))
 
     diags: list[str] = []
     # the bound is for k >= 2: at k = 1 only the one-vertex digraph, with
@@ -389,10 +393,13 @@ def decompose_acyclic(D: Digraph, k: int,
 
 @dataclass
 class _Tree:
-    """Mutable out-tree over arbitrary (possibly cloned) vertex ids."""
+    """Mutable out-tree over arbitrary (possibly cloned) vertex ids,
+    with its vertices in a depth-first preorder: root first, and each
+    vertex's subtree one slice that the vertex starts."""
 
     root: int
     parent: dict[int, int]  # every vertex except root
+    order: list[int]  # a preorder of the tree, root first
 
     def vertices(self) -> set[int]:
         return {self.root} | set(self.parent)
@@ -455,21 +462,16 @@ def _pick_centroid(T: _Tree) -> tuple[int, list[tuple[int, int, list[int]]]]:
     the components of T - u, each as (leaf count, least vertex, vertices
     in preorder with the component's root first).
 
-    One children map and one depth-first preorder serve every candidate.
-    Subtree sizes and leaf counts, summed in reverse preorder, give its
-    components: one per child, plus the rest of the tree above it, where
-    p(u) becomes a leaf when u is its only child.  A child's component is
-    a slice of the preorder, and the rest is the preorder less u's slice."""
-    root, par = T.root, T.parent
+    T's preorder and one children map built from it serve every
+    candidate.  Subtree sizes and leaf counts, summed in reverse
+    preorder, give its components: one per child, plus the rest of the
+    tree above it, where p(u) becomes a leaf when u is its only child.  A
+    child's component is a slice of the preorder, and the rest is the
+    preorder less u's slice."""
+    root, par, order = T.root, T.parent, T.order
     ch: dict[int, list[int]] = {}
-    for u, p in par.items():
-        ch.setdefault(p, []).append(u)
-    order = []
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(ch.get(u, ()))
+    for u in order[1:]:
+        ch.setdefault(par[u], []).append(u)
     size = dict.fromkeys(order, 1)
     leaves = {u: 0 if u in ch else 1 for u in order}
     for u in order[:0:-1]:
@@ -534,7 +536,9 @@ def beta_split(T: _Tree, next_clone_id: int,
     clone_id).  Requires at least two leaves.  The components of T - v
     go to the two sides in order of leaf count, descending, then least
     vertex, both of which the centroid pass already has, and each side
-    is built from its components' preorder slices.
+    and its preorder are built from its components' preorder slices: the
+    copy's block, the copy then its child slices, goes right after p(v)
+    in the part above v, or starts the side.
     """
     lam = T.leaf_weight()
     assert lam >= 2, "beta_split requires at least two leaves"
@@ -573,17 +577,22 @@ def beta_split(T: _Tree, next_clone_id: int,
     par = T.parent
 
     def assemble(side_comps: list[tuple[int, int, list[int]]], copy_id: int) -> _Tree:
-        root = copy_id
         parent: dict[int, int] = {}
+        block = [copy_id]
+        above: list[int] = []
         for _, _, part in side_comps:
             if part[0] == T.root:
                 # the part above v: keep the root, hang the copy under p(v)
-                root = T.root
+                above = part
                 parent[copy_id] = par[v]
             else:
                 parent[part[0]] = copy_id  # a child subtree of v
+                block += part
             parent.update({u: par[u] for u in part[1:]})
-        return _Tree(root, parent)
+        if not above:
+            return _Tree(copy_id, parent, block)
+        i = above.index(par[v]) + 1
+        return _Tree(T.root, parent, above[:i] + block + above[i:])
 
     clone = next_clone_id
     first = assemble(comps[:p], v)
@@ -593,7 +602,14 @@ def beta_split(T: _Tree, next_clone_id: int,
 
 def build_beta_tree(D: Digraph, T: OutBranching) -> BetaTree:
     """Recursively split T down to single-leaf paths."""
-    root_tree = _Tree(T.root, {v: T.parent[v] for v in range(T.n) if v != T.root})
+    ch = T.children()
+    order = []
+    stack = [T.root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(ch[u])
+    root_tree = _Tree(T.root, {v: T.parent[v] for v in order[1:]}, order)
     clone_of: dict[int, int] = {}
     next_id = [D.n]
     diags: list[str] = []
@@ -613,7 +629,7 @@ def build_beta_tree(D: Digraph, T: OutBranching) -> BetaTree:
     # original ids across leaf paths partition V(D); clones are the extras
     seen: set[int] = set()
     for node in bt.leaf_nodes():
-        for u in node.tree.vertices():
+        for u in node.tree.order:
             if u < D.n:
                 assert u not in seen, f"vertex {u} in two leaf paths"
                 seen.add(u)
@@ -622,12 +638,10 @@ def build_beta_tree(D: Digraph, T: OutBranching) -> BetaTree:
 
 
 def _path_order(tree: _Tree) -> list[int]:
-    """Root-to-end vertex order of a single-leaf tree (a directed path)."""
-    child = {p: v for v, p in tree.parent.items()}
-    order = [tree.root]
-    while order[-1] in child:
-        order.append(child[order[-1]])
-    assert len(order) == len(tree.parent) + 1, \
+    """Root-to-end vertex order of a single-leaf tree (a directed path):
+    its preorder, in which each vertex's parent comes just before it."""
+    order = tree.order
+    assert list(map(tree.parent.__getitem__, order[1:])) == order[:-1], \
         "leaf node of the split tree is not a path"
     return order
 
@@ -686,9 +700,11 @@ def decompose_strong(D: Digraph, k: int, assume_premise: bool = False,
     diags.extend(bt.diagnostics)
 
     runs: list[tuple[int, int, int]] = []
+    orig = bt.clone_of.get
 
     def leaf_runs(node: BetaNode, start: int) -> int:
-        order = [bt.orig(u) for u in _path_order(node.tree)]
+        path = _path_order(node.tree)
+        order = list(map(orig, path, path))
         W_local = W_full.intersection(order)
         path_arcs = set(zip(order, order[1:]))
         # adjacency of the stripped digraph R: the arcs within the path
@@ -726,7 +742,7 @@ def decompose_strong(D: Digraph, k: int, assume_premise: bool = False,
         if node.children is None:
             return leaf_runs(node, start)
         v = node.separator
-        sides = [{bt.orig(u) for u in c.tree.vertices()} for c in node.children]
+        sides = [set(map(orig, c.tree.order, c.tree.order)) for c in node.children]
         # Y is symmetric in the two sides: walk the arcs of the smaller one
         small, large = sorted(sides, key=len)
         Y: set[int] = set()

@@ -129,10 +129,43 @@ INVALID_DECOMPOSITIONS = {
 }
 
 
-# Reference for the library's beta split from one preorder: the split on
-# parent dicts, which builds the children map once for the centroid and
-# again for the components, and sorts the components by leaf_weight()
-# and vertices().
+# Reference for the library's beta split from carried preorders: the
+# split on parent dicts, which builds the children map once for the
+# centroid and again for the components, sorts the components by
+# leaf_weight() and vertices(), and gives each tree a preorder of its own.
+
+
+def tree_in_preorder(root: int, parent: dict[int, int],
+                     key: Optional[Callable[[int], int]] = None) -> _Tree:
+    """The _Tree of root and parent with a depth-first preorder that
+    visits each vertex's children in order of key (by default, of id)."""
+    ch: dict[int, list[int]] = {}
+    for v in sorted(parent, key=key):
+        ch.setdefault(parent[v], []).append(v)
+    order = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(reversed(ch.get(u, ())))
+    return _Tree(root, parent, order)
+
+
+def is_preorder(order: Sequence[int], root: int, parent: dict[int, int]) -> bool:
+    """Whether order lists the tree of root and parent, each vertex once,
+    root first and every vertex's subtree contiguous: each vertex after
+    the root hangs below a vertex on the path from the root to the vertex
+    before it."""
+    if sorted(order) != sorted({root, *parent}) or order[0] != root:
+        return False
+    path = [root]
+    for v in order[1:]:
+        while path and path[-1] != parent[v]:
+            path.pop()
+        if not path:
+            return False
+        path.append(v)
+    return True
 
 
 def components_after_removal(T: _Tree, v: int) -> list[_Tree]:
@@ -147,7 +180,7 @@ def components_after_removal(T: _Tree, v: int) -> list[_Tree]:
             for w in ch[u]:
                 sub_parent[w] = u
                 stack.append(w)
-        comps.append(_Tree(c, sub_parent))
+        comps.append(tree_in_preorder(c, sub_parent))
     if v != T.root:
         below = {v}
         stack = [v]
@@ -158,7 +191,7 @@ def components_after_removal(T: _Tree, v: int) -> list[_Tree]:
                 stack.append(w)
         rest_parent = {u: p for u, p in T.parent.items()
                        if u not in below and p not in below}
-        comps.append(_Tree(T.root, rest_parent))
+        comps.append(tree_in_preorder(T.root, rest_parent))
     return comps
 
 
@@ -267,7 +300,7 @@ def dict_beta_split(T: _Tree, next_clone_id: int,
         for c in side_comps:
             if not (c.root == T.root and v != T.root):
                 parent[c.root] = copy_id  # child subtree of v
-        return _Tree(root, parent)
+        return tree_in_preorder(root, parent)
 
     first = assemble(first_comps, v)
     second = assemble(second_comps, clone)
@@ -290,7 +323,7 @@ def dict_beta_tree(D, T) -> BetaTree:
         node.children = (recurse(first, layer + 1), recurse(second, layer + 1))
         return node
 
-    root = _Tree(T.root, {v: T.parent[v] for v in range(T.n) if v != T.root})
+    root = tree_in_preorder(T.root, {v: T.parent[v] for v in range(T.n) if v != T.root})
     return BetaTree(recurse(root, 1), clone_of, diags)
 
 

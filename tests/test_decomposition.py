@@ -221,6 +221,15 @@ class TestDecomposeAcyclic:
             "405a19c6ad9ddf5c34fd21da0d2b2fd44a93c8aa40c5fccd85fc78b2db5d2de7")
         assert (len(pd.bags), pd.width, out.diagnostics) == (7, 45, ())
 
+    def test_one_bag_decomposition_is_pinned(self):
+        # every vertex in one bag, returned without building UN(D)
+        out = decompose_acyclic(gen_random_dag_single_source(200, 0, 25), 200)
+        pd = out.decomposition
+        assert hashlib.sha256(pd.to_json().encode()).hexdigest() == (
+            "a7934be8fcf6c3572f822a710925d76c63402f96f6e3ed42d65423c829e9676b")
+        assert pd.bags == (frozenset(range(200)),)
+        assert (pd.width, out.layers, out.diagnostics) == (199, 1, ())
+
     def test_w_vertex_on_a_residual_path_raises(self, monkeypatch):
         # a leaf of T spliced into a link path, after its first vertex
         def spliced(T):
@@ -364,6 +373,20 @@ class TestDecomposeStrong:
 
         monkeypatch.setattr(decomposition, "build_beta_tree", misplaced)
         with pytest.raises(AssertionError, match="vertex 2 occurs non-contiguously"):
+            decompose_strong(gen_random_strong(9, 1, 10), 5)
+
+    def test_leaf_tree_that_is_not_a_path_raises(self, monkeypatch):
+        # the root's tree branches; with its children cut off it is a leaf
+        # node, whose preorder is not a path
+        build = decomposition.build_beta_tree
+
+        def unsplit(D, T):
+            bt = build(D, T)
+            bt.root_node.children = None
+            return bt
+
+        monkeypatch.setattr(decomposition, "build_beta_tree", unsplit)
+        with pytest.raises(AssertionError, match="not a path"):
             decompose_strong(gen_random_strong(9, 1, 10), 5)
 
     def test_class_L_instance_accepted(self):

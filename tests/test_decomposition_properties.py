@@ -11,6 +11,8 @@ from helpers import (
     dict_beta_tree,
     glued_acyclic,
     glued_strong,
+    is_preorder,
+    tree_in_preorder,
 )
 from maxleaf.branching import leaf_count
 from maxleaf.decomposition import (
@@ -216,11 +218,20 @@ def literal_pick_centroid(T):
 @st.composite
 def out_trees(draw):
     """A random out-tree on arbitrary ids: vertex i > 0 hangs below an
-    earlier one, and the ids are shuffled."""
+    earlier one, and the ids are shuffled.  Its preorder visits each
+    vertex's children in a random order."""
     n = draw(st.integers(1, 14))
     ids = draw(st.permutations(range(3 * n)))[:n]
     parent = {ids[i]: ids[draw(st.integers(0, i - 1))] for i in range(1, n)}
-    return _Tree(ids[0], parent)
+    rank = dict(zip(ids, draw(st.permutations(range(n)))))
+    return tree_in_preorder(ids[0], parent, rank.__getitem__)
+
+
+def centroid_components(T):
+    """_pick_centroid's separator and its components as (leaf count,
+    least vertex, vertex set), sorted."""
+    u, comps = _pick_centroid(T)
+    return u, sorted((l, least, frozenset(part)) for l, least, part in comps)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -237,11 +248,16 @@ def test_pick_centroid_matches_per_candidate_components(T):
     # each component as (leaf count, least vertex, preorder, root first)
     got = []
     for leaf_count, least, part in comps:
-        tree = _Tree(part[0], {w: T.parent[w] for w in part[1:]})
+        tree = _Tree(part[0], {w: T.parent[w] for w in part[1:]}, part)
         assert (leaf_count, least) == (tree.leaf_weight(), min(tree.vertices()))
+        assert is_preorder(part, tree.root, tree.parent)
         got.append((tree.root, tree.parent))
     # the roots differ, so the sort never compares two parent dicts
     assert sorted(got) == sorted((c.root, c.parent) for c in want_comps)
+    # T's preorder, drawn at random, changes neither the separator nor
+    # the components
+    assert centroid_components(T) == centroid_components(
+        tree_in_preorder(T.root, T.parent))
 
 
 @st.composite
@@ -258,10 +274,12 @@ def random_out_branchings(draw):
 
 def split_tree(node):
     """Layer, separator and, at a leaf node, the path tree of every node
-    of a split tree, in preorder."""
+    of a split tree, in preorder; asserts that each node's tree carries a
+    preorder of itself."""
     out = []
 
     def walk(node):
+        assert is_preorder(node.tree.order, node.tree.root, node.tree.parent)
         tree = (node.tree.root, node.tree.parent) if node.children is None else None
         out.append((node.layer, node.separator, tree))
         for c in node.children or ():
@@ -471,6 +489,21 @@ def test_construction_inputs_draw_multi_bag_decompositions(kind):
             return False
         pd = glued_and_runs(*case)[1].decomposition
         return pd is not None and len(pd.bags) > 1
+
+    # generate only: a shrunk example shows nothing more
+    assert wanted(find(construction_inputs(), wanted, settings=settings(
+        derandomize=True, database=None, phases=[Phase.generate])))
+
+
+def test_construction_inputs_draw_one_bag_acyclic_decompositions():
+    """One bag is returned before UN(D) is built, so the glued test above
+    needs such cases.  The Hamiltonian-path branch gives bags of two
+    vertices, so a bag of more than two comes from the W-glue."""
+    def wanted(case):
+        if case[0] != "dag":
+            return False
+        pd = glued_and_runs(*case)[1].decomposition
+        return pd is not None and len(pd.bags) == 1 and len(pd.bags[0]) > 2
 
     # generate only: a shrunk example shows nothing more
     assert wanted(find(construction_inputs(), wanted, settings=settings(
