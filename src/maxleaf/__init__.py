@@ -22,7 +22,7 @@ from .digraph import (
     strong_components,
     underlying_graph,
 )
-from .fpt import Decision, decide_k_dmlob, decide_k_dmlot, to_nice
+from .fpt import Decision, decide_k_dmlob, decide_k_dmlot
 from .generators import InstanceSpec, gen_ht, generate
 from .local_search import (
     Certificate,

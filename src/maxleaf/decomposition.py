@@ -91,16 +91,22 @@ def _spans(bags: Sequence[frozenset[int]]) -> tuple[dict[int, int], dict[int, in
 
 def validate_pd(G: Graph, P: PathDecomposition) -> str | None:
     """None when P satisfies the three path-decomposition axioms for G,
-    else a message naming the first violated axiom and a witness.
+    else a message naming the first violated axiom and a witness: a bag
+    vertex outside G, a vertex of G in no bag (axiom 1), an edge in no
+    bag (axiom 2), then a vertex in bags that are not contiguous (axiom 3).
 
     A vertex is contiguous exactly when its number of bags spans its
     range from first to last bag, and an edge of two contiguous vertices
     is covered exactly when their ranges meet."""
     first, last = _spans(P.bags)
-    err = _vertex_violation(G, last)
-    if err is not None:
-        return err
-    split = _split_vertices(P.bags, first, last)
+    n = G.n
+    for v in last:
+        if not (0 <= v < n):
+            return f"bag vertex {v} outside host graph"
+    if len(last) < n:
+        return f"axiom 1: vertex {min(set(range(n)) - last.keys())} in no bag"
+    count = Counter(chain.from_iterable(P.bags))
+    split = {v for v, c in count.items() if c != last[v] - first[v] + 1}
     for u, v in G.pairs:
         if u in split or v in split:
             covered = any(u in b and v in b for b in P.bags)
@@ -109,28 +115,8 @@ def validate_pd(G: Graph, P: PathDecomposition) -> str | None:
         if not covered:
             return f"axiom 2: edge {{{u},{v}}} in no bag"
     if split:
-        v = min(v for v in range(G.n) if v in split)
-        return f"axiom 3: vertex {v} occurs non-contiguously"
+        return f"axiom 3: vertex {min(split)} occurs non-contiguously"
     return None
-
-
-def _vertex_violation(G: Graph, last: dict[int, int]) -> str | None:
-    """A bag vertex outside G, or else a vertex of G in no bag."""
-    n = G.n
-    for v in last:
-        if not (0 <= v < n):
-            return f"bag vertex {v} outside host graph"
-    if len(last) < n:
-        return f"axiom 1: vertex {min(set(range(n)) - last.keys())} in no bag"
-    return None
-
-
-def _split_vertices(bags: Sequence[frozenset[int]], first: dict[int, int],
-                    last: dict[int, int]) -> set[int]:
-    """The vertices whose bags are not contiguous, given first, last =
-    _spans(bags)."""
-    count = Counter(chain.from_iterable(bags))
-    return {v for v, c in count.items() if c != last[v] - first[v] + 1}
 
 
 def ordering_to_decomposition(G: Graph, sigma: VertexOrdering) -> PathDecomposition:
@@ -275,23 +261,17 @@ def _anchor_edges(G: Graph, first: Sequence[int] | dict[int, int],
 
 
 def tighten(G: Graph, P: PathDecomposition) -> PathDecomposition:
-    """Shrink a valid decomposition by restricting every vertex to the
-    smallest contiguous bag interval that still covers its incident
-    edges.  Each edge is anchored at one bag containing both endpoints;
-    edges with few shared bags are anchored first, later edges pick the
-    shared bag that extends the endpoint intervals least.  Width never
-    increases.  Runs in O(m + c log c) plus the size of P, where c is
-    the number of edges with more than one shared bag: only those are
-    sorted, so a one-bag decomposition sorts nothing.
-
-    The input is checked as validate_pd checks it: one pass over the
-    bags checks axioms 1 and 3, and the pass that anchors the edges
-    checks axiom 2."""
-    first, last = _spans(P.bags)
-    assert (_vertex_violation(G, last) is None
-            and not _split_vertices(P.bags, first, last)), \
-        "tighten requires a valid decomposition"
-    return _tighten(G, first, last, len(P.bags))
+    """Shrink a decomposition, which validate_pd must accept, by
+    restricting every vertex to the smallest contiguous bag interval that
+    still covers its incident edges.  Each edge is anchored at one bag
+    containing both endpoints; edges with few shared bags are anchored
+    first, later edges pick the shared bag that extends the endpoint
+    intervals least.  Width never increases.  Runs in O(m + c log c) plus
+    the size of P, where c is the number of edges with more than one
+    shared bag: only those are sorted, so a one-bag decomposition sorts
+    nothing."""
+    assert validate_pd(G, P) is None, "tighten requires a valid decomposition"
+    return _tighten(G, *_spans(P.bags), len(P.bags))
 
 
 def _tighten(G: Graph, first: Sequence[int] | dict[int, int],
@@ -677,10 +657,6 @@ def decompose_strong(D: Digraph, k: int, assume_premise: bool = False,
             raise ValueError(
                 "digraph is neither strongly connected nor in the "
                 "supported out-branching class")
-    if D.n == 1:
-        return DecomposeOutcome(
-            decomposition=PathDecomposition((frozenset({0}),)), layers=1)
-
     if T is None:
         _, roots = has_out_branching(D)
         T = _bfs_1ae(D, min(roots))

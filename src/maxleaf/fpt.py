@@ -29,6 +29,7 @@ from typing import Optional
 from .branching import OutBranching, OutTree, leaf_count, validate
 from .decomposition import (
     PathDecomposition,
+    _spans,
     decompose_acyclic,
     decompose_strong,
     validate_pd,
@@ -42,36 +43,6 @@ from .digraph import (
 )
 from .local_search import _bfs_1ae
 from .oracles import BudgetExhausted
-
-
-@dataclass(frozen=True)
-class NicePD:
-    """Introduce/forget refinement of a path decomposition."""
-
-    steps: tuple[tuple[str, int], ...]  # ("intro"|"forget", vertex)
-    width: int
-
-
-def to_nice(P: PathDecomposition) -> NicePD:
-    """Single-vertex-change refinement; width unchanged."""
-    bags = [set(b) for b in P.bags]
-    # drop consecutive duplicates
-    dedup: list[set[int]] = []
-    for b in bags:
-        if not dedup or b != dedup[-1]:
-            dedup.append(b)
-    steps: list[tuple[str, int]] = []
-    prev: set[int] = set()
-    for b in dedup:
-        for v in sorted(prev - b):
-            steps.append(("forget", v))
-        for v in sorted(b - prev):
-            steps.append(("intro", v))
-        prev = b
-    for v in sorted(prev):
-        steps.append(("forget", v))
-    width = max((len(b) for b in P.bags), default=1) - 1
-    return NicePD(tuple(steps), width)
 
 
 # State encoding.  Each bag vertex holds a slot, the lowest one free when
@@ -157,32 +128,34 @@ def dp_max_leaf_run(D: Digraph, P: PathDecomposition,
     err = validate_pd(underlying_graph(D), P)
     if err is not None:
         raise ValueError(f"invalid decomposition: {err}")
-    if D.n == 1:
-        return DPRun(0, OutBranching(1, 0, (-1,)), 1)
 
     max_states = MAX_DP_STATES
-    nice = to_nice(P)
-    steps = nice.steps
+    first, last = _spans(P.bags)
+    # at bag i, forget each vertex whose last bag is i - 1, then introduce
+    # each whose first bag is i, both in vertex order; after the last bag,
+    # forget the rest.  A step is (bag, is_intro, vertex).
+    steps = sorted([(last[v] + 1, False, v) for v in range(D.n)]
+                   + [(first[v], True, v) for v in range(D.n)])
     # leaf headroom after each step: forgets of non-root vertices remaining
     # (of every vertex when the root is free)
     headroom = [0] * (len(steps) + 1)
     for si in range(len(steps) - 1, -1, -1):
-        kind, v = steps[si]
-        headroom[si] = headroom[si + 1] + (1 if kind == "forget" and v != root else 0)
+        _, intro, v = steps[si]
+        headroom[si] = headroom[si + 1] + (not intro and v != root)
     # table: state -> (value, previous state, parent slot or -1, children mask)
-    empty: State = (0, 0, (0,) * (nice.width + 1))
+    empty: State = (0, 0, (0,) * (P.width + 1))
     table: dict[State, tuple] = {empty: (0, None, -1, 0)}
     trace: list[dict[State, tuple]] = []
     held = 0  # states in trace
     states_peak = 1
-    vertex_at: list[int] = [-1] * (nice.width + 1)  # slot -> bag vertex
+    vertex_at: list[int] = [-1] * (P.width + 1)  # slot -> bag vertex
     slot_of: dict[int, int] = {}
     intro_at: dict[int, tuple[int, tuple[int, ...]]] = {}  # step -> (v, vertex_at)
 
-    for si, (kind, v) in enumerate(steps):
+    for si, (_, intro, v) in enumerate(steps):
         new_table: dict[State, tuple] = {}
         hr = headroom[si + 1]
-        if kind == "intro":
+        if intro:
             s = vertex_at.index(-1)
             vertex_at[s] = v
             slot_of[v] = s
@@ -213,7 +186,7 @@ def dp_max_leaf_run(D: Digraph, P: PathDecomposition,
                 raise BudgetExhausted(lower_bound, None)
             value = entry[0]
             hp, cl, labels = state
-            if kind == "intro":
+            if intro:
                 if value + hr < lower_bound:
                     continue
                 targets = out_mask & ~hp
@@ -252,7 +225,7 @@ def dp_max_leaf_run(D: Digraph, P: PathDecomposition,
             return DPRun(None, None, states_peak)
 
     final = table.get(empty)
-    if final is None:
+    if final is None or not D.n:  # the empty digraph has no root
         return DPRun(None, None, states_peak)
     value = final[0]
 

@@ -422,10 +422,6 @@ def glued_strong(D: Digraph, k: int, assume_premise: bool = False,
             raise ValueError(
                 "digraph is neither strongly connected nor in the "
                 "supported out-branching class")
-    if D.n == 1:
-        return DecomposeOutcome(
-            decomposition=PathDecomposition((frozenset({0}),)), layers=1)
-
     if T is None:
         _, roots = has_out_branching(D)
         T = _bfs_1ae(D, min(roots))

@@ -281,6 +281,15 @@ class TestDecompose:
         assert run(capsys, "decompose", "--mode", "acyclic", "--k", "1", p) \
             == (EXIT_OK, "0\n", "")
 
+    def test_strong_single_vertex_at_k0(self, capsys, tmp_path):
+        # the one vertex has no leaf, which is at least k = 0 leaves
+        p = write_graph(tmp_path, Digraph.build(1, []))
+        code, out, err = run(capsys, "decompose", "--mode", "strong",
+                             "--k", "0", p)
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out) == {"kind": "witness", "leaves": 0,
+                                   "witness": {"root": 0, "parent": {}}}
+
     def test_acyclic_rejects_cyclic_input(self, capsys, cycle_path):
         code, _, err = run(capsys, "decompose", "--mode", "acyclic",
                            "--k", "2", cycle_path)

@@ -402,3 +402,15 @@ class TestDecomposeStrong:
         with pytest.raises(ValueError):
             decompose_strong(D, 2)
 
+    def test_one_vertex(self):
+        # the general path: no leaf, so a witness at k <= 0 as in the
+        # acyclic construction, else the bag {0} from one leaf path
+        D = Digraph.build(1, [])
+        for k in (-1, 0):
+            out = decompose_strong(D, k)
+            assert out.kind == "witness" and leaf_count(out.witness) == 0
+            assert out == decompose_acyclic(D, k)
+        for k in (1, 2):
+            assert decompose_strong(D, k) == decomposition.DecomposeOutcome(
+                decomposition=PathDecomposition((frozenset({0}),)), layers=1)
+

@@ -403,9 +403,9 @@ def bag_sequences(draw):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(bag_sequences())
 def test_tighten_checks_its_input_as_validate_pd(case):
-    """tighten checks axioms 1 and 3 on its bags and axiom 2 while it
-    anchors the edges; it raises exactly when validate_pd reports a
-    violation, and otherwise tightens as the literal definition does."""
+    """tighten checks its input with validate_pd: it raises exactly when
+    validate_pd reports a violation, and otherwise tightens as the
+    literal definition does."""
     G, P = case
     if validate_pd(G, P) is not None:
         with pytest.raises(AssertionError):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxleaf import decomposition, digraph, fpt
-from maxleaf.branching import OutTree, leaf_count, validate
+from maxleaf.branching import OutBranching, OutTree, leaf_count, validate
 from maxleaf.decomposition import (
     PathDecomposition,
     decompose_acyclic,
@@ -16,11 +17,10 @@ from maxleaf.decomposition import (
 from maxleaf.digraph import Digraph, has_out_branching, underlying_graph
 from maxleaf.fpt import (
     Decision,
-    NicePD,
+    DPRun,
     decide_k_dmlob,
     decide_k_dmlot,
     dp_max_leaf_run,
-    to_nice,
 )
 from maxleaf.generators import gen_random_dag_single_source, gen_random_strong
 from maxleaf.oracles import (
@@ -74,26 +74,65 @@ def best_rooted(D, root):
     return best
 
 
-class TestToNice:
-    def test_steps_balanced(self):
-        P = PathDecomposition((frozenset({0, 1}), frozenset({1, 2})))
-        nice = to_nice(P)
-        intro = [v for k, v in nice.steps if k == "intro"]
-        forget = [v for k, v in nice.steps if k == "forget"]
-        assert sorted(intro) == sorted(forget) == [0, 1, 2]
+class TestStepOrder:
+    """The DP introduces each vertex at its first bag and forgets it after
+    its last, in vertex order within a bag, forgets first.  The order
+    decides the tables, their peak and the witness among equal ones."""
 
-    def test_intro_before_forget(self):
-        P = PathDecomposition((frozenset({0}), frozenset({0, 1}),
-                               frozenset({1})))
-        nice = to_nice(P)
-        for v in (0, 1):
-            i = nice.steps.index(("intro", v))
-            f = nice.steps.index(("forget", v))
-            assert i < f
+    @staticmethod
+    def pinned_runs():
+        for n in range(2, 9):
+            for seed in range(8):
+                D = random_digraph(n, 100 * n + seed, p=0.35)
+                pds = [good_pd(D)]
+                if n <= 5:
+                    pds.append(PathDecomposition((frozenset(range(n)),)))
+                for P in pds:
+                    runs = [dp_max_leaf_run(D, P),
+                            dp_max_leaf_run(D, P, lower_bound=2)]
+                    runs += [dp_max_leaf_run(D, P, r) for r in range(n)]
+                    for run in runs:
+                        yield (run.value, run.states_peak,
+                               run.witness.parent if run.witness else None)
 
-    def test_width_preserved(self):
-        P = PathDecomposition((frozenset({0, 1, 2}), frozenset({2, 3})))
-        assert to_nice(P).width == P.width
+    def test_runs_match_the_pinned_digest(self):
+        runs = list(self.pinned_runs())
+        assert len(runs) == 568
+        assert hashlib.sha256(repr(runs).encode()).hexdigest() == (
+            "f7a18adc4a868926ad77ff4c21eb485ca56152626bbbeca017b1d98a9eeb232b")
+
+    def test_repeated_bag_changes_nothing(self):
+        for seed in range(6):
+            D = random_digraph(6, 40 + seed, p=0.35)
+            P = good_pd(D)
+            assert len(P.bags) > 1
+            for i in (0, len(P.bags) // 2, len(P.bags) - 1):
+                fat = PathDecomposition(P.bags[:i + 1] + P.bags[i:])
+                for root in (None, 0):
+                    assert dp_max_leaf_run(D, fat, root) == \
+                        dp_max_leaf_run(D, P, root)
+
+    def test_empty_bag_changes_nothing(self):
+        D = Digraph.build(2, [])
+        gap = PathDecomposition((frozenset({0}), frozenset(), frozenset({1})))
+        P = PathDecomposition((frozenset({0}), frozenset({1})))
+        assert dp_max_leaf_run(D, gap) == dp_max_leaf_run(D, P) == \
+            DPRun(None, None, 1)
+
+    def test_empty_digraph_has_no_out_branching(self):
+        D = Digraph.build(0, [])
+        assert not has_out_branching(D)[0]
+        assert dp_max_leaf_run(D, PathDecomposition(())) == DPRun(None, None, 1)
+
+    def test_one_vertex(self):
+        D = Digraph.build(1, [])
+        P = PathDecomposition((frozenset({0}),))
+        for root in (None, 0):
+            assert dp_max_leaf_run(D, P, root) == \
+                DPRun(0, OutBranching(1, 0, (-1,)), 1)
+            # as at any n, a lower bound above the optimum drops every state
+            assert dp_max_leaf_run(D, P, root, lower_bound=1) == \
+                DPRun(None, None, 1)
 
 
 class TestStateSpaceCap:
@@ -147,7 +186,7 @@ class TestDpAgainstReference:
             P = good_pd(D)
             for root in range(D.n):
                 run = dp_max_leaf_run(D, P, root)
-                assert run.states_peak <= len(to_nice(P).steps) * \
+                assert run.states_peak <= 2 * D.n * \
                     state_space_cap(P.width + 1)
 
     def test_lower_bound_pruning_preserves_optimum(self):
